@@ -51,7 +51,6 @@ from .kernels import (
     kernel_from_descriptor,
 )
 from .convolution import (
-    CapFunction,
     cap_indicator,
     cap_transform,
     cap_transform_quadrature,

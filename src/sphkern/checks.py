@@ -38,7 +38,9 @@ from .gegenbauer import (
     weight_w,
 )
 from .kernels import (
+    _CLOSED_FORM_KEYS,
     CLOSED_FORM_TAGS,
+    MonteeIterate,
     TruncatedPower,
     cap_kernel_coefficients,
     eval_cap_kernel,
@@ -176,7 +178,8 @@ def check_coeff_map(tol: float = 1e-4) -> CheckResult:
 
 
 def check_closed_forms(tol: float = 1e-8) -> CheckResult:
-    """The five printed montee closed forms vs numeric montee on 2001-point grids."""
+    """The five printed montee closed forms vs numeric montee and vs the exact
+    montee algebra (MonteeIterate) on 2001-point grids."""
     grid = np.linspace(-1.0, 1.0, 2001)
     worst = 0.0
     for t in _SUPPORT_ANGLES:
@@ -194,20 +197,27 @@ def check_closed_forms(tol: float = 1e-8) -> CheckResult:
             ),
         }
         for tag in CLOSED_FORM_TAGS:
-            image = montee_numeric(parents[tag], tol=1e-12)
-            dev = np.max(np.abs(image(grid) - eval_montee_closed_form(tag, t, grid)))
+            m, k = _CLOSED_FORM_KEYS[tag]
+            printed = eval_montee_closed_form(tag, t, grid)
+            image = montee_numeric(parents[tag], tol=1e-12)(grid)
+            algebra = MonteeIterate(TruncatedPower(m, t), k)(grid)
+            dev = max(np.max(np.abs(image - printed)), np.max(np.abs(algebra - printed)))
             worst = max(worst, float(dev))
     return _result("montee_closed_forms", worst, tol)
 
 
 def check_recurrence(tol: float = 1e-8) -> CheckResult:
-    """The I f_m recurrence vs numeric montee for m <= 8 (t = 1)."""
+    """The I f_m recurrence and the exact montee algebra vs numeric montee
+    for m <= 8 (t = 1)."""
     grid = np.linspace(-1.0, 1.0, 1001)
     worst = 0.0
     for m in range(1, 9):
-        fm = TruncatedPower(m, 1.0).as_kernel()
-        image = montee_numeric(fm, tol=1e-12)
-        dev = np.max(np.abs(image(grid) - eval_montee_recurrence(m, 1.0, grid)))
+        base = TruncatedPower(m, 1.0)
+        image = montee_numeric(base.as_kernel(), tol=1e-12)(grid)
+        dev = max(
+            np.max(np.abs(image - eval_montee_recurrence(m, 1.0, grid))),
+            np.max(np.abs(image - MonteeIterate(base, 1)(grid))),
+        )
         worst = max(worst, float(dev))
     return _result("montee_recurrence", worst, tol)
 

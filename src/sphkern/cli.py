@@ -3,7 +3,7 @@ convolution experiments, cap-kernel coefficients, interpolation, point sets.
 
 Exit codes are stable across subcommands: 0 success, 1 verification failure,
 2 input/validation error, 3 numerical failure (non-SPD Gram matrix, accuracy
-loss).  Every run is deterministic: identical configuration produces
+loss).  Every run is deterministic: identical arguments produce
 byte-identical output (floats render with 17 significant digits).
 """
 
@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,52 +24,26 @@ from .kernels import cap_kernel_coefficients, kernel_from_descriptor
 from .interpolation import solve_interpolation, evaluate_interpolant
 from .spd import PointSet, generate_points
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-@dataclass
-class RunConfig:
-    """Fully determines a CLI run; equal configs yield byte-identical output."""
-
-    command: str
-    descriptor: dict | None = None
-    descriptor2: dict | None = None
-    lam: float | None = None
-    trunc: int = 40
-    quad_order: int = 128
-    seed: int = 0
-    tol: float | None = None
-    out: str | None = None
-    fmt: str = "csv"
-    grid: int = 101
-    grid_space: str = "x"
-    table: str = "values"
-    cap_s: float | None = None
-    d: int | None = None
-    s: float | None = None
-    n: int = 100
-    scheme: str = "fibonacci_s2"
-    checks: list = field(default_factory=list)
-    points_file: str | None = None
-    values_file: str | None = None
-    lonlat: bool = False
-    eval_points: str | None = None
-    eval_out: str | None = None
-
-
-def _params(config: RunConfig) -> GegenbauerParams:
-    if config.lam is None:
+def _params(args) -> GegenbauerParams:
+    if args.lam is None:
         raise ValueError("this command needs --lambda or --sphere-dim")
-    return GegenbauerParams(config.lam)
+    return GegenbauerParams(args.lam)
 
 
-def _emit(config: RunConfig, text: str):
-    if config.out:
-        with open(config.out, "w") as fh:
+def _optional_params(args) -> GegenbauerParams | None:
+    return GegenbauerParams(args.lam) if args.lam is not None else None
+
+
+def _emit(args, text: str):
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -101,106 +74,103 @@ def _rows_to_json(rows, columns) -> str:
 # subcommands
 
 
-def cmd_eval(config: RunConfig) -> int:
-    kernel = kernel_from_descriptor(config.descriptor, params=GegenbauerParams(config.lam) if config.lam is not None else None)
-    if config.grid > 0:
-        if config.grid_space == "theta":
-            theta = np.linspace(0.0, math.pi, config.grid)
+def cmd_eval(args) -> int:
+    kernel = kernel_from_descriptor(args.descriptor, params=_optional_params(args))
+    if args.grid > 0:
+        if args.grid_space == "theta":
+            theta = np.linspace(0.0, math.pi, args.grid)
             xs = np.cos(theta)
         else:
-            xs = np.linspace(-1.0, 1.0, config.grid)
+            xs = np.linspace(-1.0, 1.0, args.grid)
             theta = np.arccos(np.clip(xs, -1.0, 1.0))
         vals = np.asarray(kernel(xs))
     else:
         xs = theta = vals = np.empty(0)
-    if config.fmt == "json":
+    if args.fmt == "json":
         rows = [[float(x), float(t), float(v)] for x, t, v in zip(xs, theta, vals)]
-        _emit(config, _rows_to_json(rows, ("x", "theta", "value")))
+        _emit(args, _rows_to_json(rows, ("x", "theta", "value")))
     else:
         rows = [f"{_fmt(x)},{_fmt(t)},{_fmt(v)}" for x, t, v in zip(xs, theta, vals)]
-        _emit(config, _table(rows, "x,theta,value"))
+        _emit(args, _table(rows, "x,theta,value"))
     return 0
 
 
-def cmd_coeffs(config: RunConfig) -> int:
-    params = _params(config)
-    kernel = kernel_from_descriptor(config.descriptor, params=params)
-    series = transform(kernel, params, config.trunc, order=config.quad_order)
+def cmd_coeffs(args) -> int:
+    params = _params(args)
+    kernel = kernel_from_descriptor(args.descriptor, params=params)
+    series = transform(kernel, params, args.trunc, order=args.quad_order)
     coeffs = series.weights() * series.coeffs
     note = (
         f"# expansion f ~ sum_n coeff[n] * W^lambda_n at lambda={_fmt(params.lam)}; "
         "divide coeff[n] by C^lambda_n(1) for the plain Gegenbauer basis"
     )
-    if config.fmt == "json":
-        _emit(config, _rows_to_json([[n, float(c)] for n, c in enumerate(coeffs)], ("n", "coeff")))
+    if args.fmt == "json":
+        _emit(args, _rows_to_json([[n, float(c)] for n, c in enumerate(coeffs)], ("n", "coeff")))
     else:
         rows = [f"{n},{_fmt(c)}" for n, c in enumerate(coeffs)]
-        _emit(config, _table(rows, "n,coeff", preamble=note))
+        _emit(args, _table(rows, "n,coeff", preamble=note))
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    names = config.checks or None
-    results = run_checks(names=names, tol=config.tol)
+def cmd_verify(args) -> int:
+    results = run_checks(names=args.check or None, tol=args.tol)
     report = {
         "checks": [r.to_dict() for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    _emit(config, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _emit(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if report["all_passed"] else 1
 
 
-def _conv_factors(config: RunConfig):
-    if config.cap_s is not None:
-        if not (0.0 < config.cap_s < math.pi):
+def _conv_factors(args):
+    if args.cap_s is not None:
+        if not (0.0 < args.cap_s < math.pi):
             raise ValueError("--cap-s must lie in (0, pi)")
-        g = cap_indicator(math.cos(config.cap_s))
+        g = cap_indicator(math.cos(args.cap_s))
         return g, g
-    if config.descriptor is None:
+    if args.descriptor is None:
         raise ValueError("conv needs --cap-s or --kernel")
-    params = GegenbauerParams(config.lam) if config.lam is not None else None
-    f = kernel_from_descriptor(config.descriptor, params=params)
-    g = kernel_from_descriptor(config.descriptor2, params=params) if config.descriptor2 else f
+    params = _optional_params(args)
+    f = kernel_from_descriptor(args.descriptor, params=params)
+    g = kernel_from_descriptor(args.descriptor2, params=params) if args.descriptor2 else f
     return f, g
 
 
-def cmd_conv(config: RunConfig) -> int:
-    params = _params(config)
-    f, g = _conv_factors(config)
-    if config.table == "coeffs":
-        fhat = transform(f, params, config.trunc, order=config.quad_order)
-        ghat = transform(g, params, config.trunc, order=config.quad_order)
+def cmd_conv(args) -> int:
+    params = _params(args)
+    f, g = _conv_factors(args)
+    if args.table == "coeffs":
+        fhat = transform(f, params, args.trunc, order=args.quad_order)
+        ghat = transform(g, params, args.trunc, order=args.quad_order)
         prod = conv_lambda_coeffs(fhat, ghat)
-        if config.fmt == "json":
-            _emit(config, _rows_to_json([[n, float(c)] for n, c in enumerate(prod.coeffs)], ("n", "coeff")))
+        if args.fmt == "json":
+            _emit(args, _rows_to_json([[n, float(c)] for n, c in enumerate(prod.coeffs)], ("n", "coeff")))
         else:
             rows = [f"{n},{_fmt(c)}" for n, c in enumerate(prod.coeffs)]
-            _emit(config, _table(rows, "n,coeff"))
+            _emit(args, _table(rows, "n,coeff"))
         return 0
     lam = params.lam
     if abs(lam - round(lam)) > 1e-12:
         raise ValueError("direct convolution tables need integer lambda (0 for *_0, m for the hop)")
     lam = int(round(lam))
     # midpoint theta grid: avoids the endpoints and generic kink abscissae
-    theta = (np.arange(config.grid) + 0.5) * math.pi / config.grid
+    theta = (np.arange(args.grid) + 0.5) * math.pi / args.grid
     xs = np.cos(theta)
     if lam == 0:
-        vals = [conv0(f, g, float(t), order=config.quad_order) for t in theta]
+        vals = [conv0(f, g, float(t), order=args.quad_order) for t in theta]
     else:
         base = GegenbauerParams(float(lam - 1))
-        vals = [dimension_hop_conv(f, g, base, float(x), order=config.quad_order) for x in xs]
-    if config.fmt == "json":
-        _emit(config, _rows_to_json([[float(x), float(v)] for x, v in zip(xs, vals)], ("x", "value")))
+        vals = [dimension_hop_conv(f, g, base, float(x), order=args.quad_order) for x in xs]
+    if args.fmt == "json":
+        _emit(args, _rows_to_json([[float(x), float(v)] for x, v in zip(xs, vals)], ("x", "value")))
     else:
         rows = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vals)]
-        _emit(config, _table(rows, "x,value"))
+        _emit(args, _table(rows, "x,value"))
     return 0
 
 
-def cmd_caps(config: RunConfig) -> int:
-    if config.d is None or config.s is None:
-        raise ValueError("caps needs --d and --s")
-    coeffs = cap_kernel_coefficients(config.d, config.s)
+def cmd_caps(args) -> int:
+    coeffs = cap_kernel_coefficients(args.d, args.s)
     ratios = {key[1]: coeffs.ratio(key) for key in coeffs.products}
     payload = {
         "d": coeffs.dim,
@@ -210,7 +180,7 @@ def cmd_caps(config: RunConfig) -> int:
         "products": dict(sorted(coeffs.products.items())),
         "coefficients": dict(sorted(ratios.items())),
     }
-    _emit(config, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -233,12 +203,12 @@ def _read_matrix(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def cmd_interp(config: RunConfig) -> int:
-    if not config.points_file or not config.values_file:
+def cmd_interp(args) -> int:
+    if not args.points_file or not args.values_file:
         raise ValueError("interp needs --points and --values files")
-    raw_pts = _read_matrix(config.points_file)
-    values = _read_matrix(config.values_file).ravel()
-    if config.lonlat:
+    raw_pts = _read_matrix(args.points_file)
+    values = _read_matrix(args.values_file).ravel()
+    if args.lonlat:
         if raw_pts.shape[1] != 2:
             raise ValueError("lon/lat input needs exactly two columns (degrees)")
         lon = np.radians(raw_pts[:, 0])
@@ -250,31 +220,32 @@ def cmd_interp(config: RunConfig) -> int:
     pts = PointSet(d=d, points=raw_pts)
     if values.shape != (len(pts),):
         raise ValueError(f"value count {values.size} does not match point count {len(pts)}")
-    kernel = kernel_from_descriptor(config.descriptor, params=GegenbauerParams(config.lam) if config.lam is not None else None)
-    tol = config.tol if config.tol is not None else 1e-9
+    kernel = kernel_from_descriptor(args.descriptor, params=_optional_params(args))
+    tol = args.tol if args.tol is not None else 1e-9
     itp = solve_interpolation(pts, values, kernel, residual_tol=tol)
-    _emit(config, json.dumps(itp.to_dict(), sort_keys=True) + "\n")
-    if config.eval_points:
-        q = _read_matrix(config.eval_points)
+    _emit(args, json.dumps(itp.to_dict(), sort_keys=True) + "\n")
+    if args.eval_points:
+        q = _read_matrix(args.eval_points)
         vals = evaluate_interpolant(itp, q)
         header = ",".join(f"x{i}" for i in range(q.shape[1])) + ",value"
         rows = [",".join(_fmt(c) for c in row) + f",{_fmt(v)}" for row, v in zip(q, vals)]
         text = _table(rows, header)
-        if config.eval_out:
-            with open(config.eval_out, "w") as fh:
+        if args.eval_out:
+            with open(args.eval_out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
     return 0
 
 
-def cmd_gen_points(config: RunConfig) -> int:
-    if config.d is None:
+def cmd_gen_points(args) -> int:
+    if args.lam is None:
         raise ValueError("gen-points needs --sphere-dim")
-    pts = generate_points(config.d, config.n, scheme=config.scheme, seed=config.seed)
-    header = ",".join(f"x{i}" for i in range(config.d + 1))
+    d = int(round(2 * args.lam + 1))
+    pts = generate_points(d, args.n, scheme=args.scheme, seed=args.seed)
+    header = ",".join(f"x{i}" for i in range(d + 1))
     rows = [",".join(_fmt(c) for c in row) for row in pts.points]
-    _emit(config, _table(rows, header))
+    _emit(args, _table(rows, header))
     return 0
 
 
@@ -337,41 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    lam = args.lam
-    if getattr(args, "sphere_dim", None) is not None:
-        lam = (args.sphere_dim - 1) / 2.0
-    config = RunConfig(
-        command=args.command,
-        lam=lam,
-        trunc=args.trunc,
-        quad_order=args.quad_order,
-        seed=args.seed,
-        tol=args.tol,
-        out=args.out,
-        fmt=args.fmt,
-    )
-    if hasattr(args, "kernel") and args.kernel:
-        config.descriptor = _load_descriptor(args.kernel)
-    if getattr(args, "kernel2", None):
-        config.descriptor2 = _load_descriptor(args.kernel2)
-    for name in ("grid", "cap_s", "table", "points_file", "values_file", "lonlat", "eval_points", "eval_out", "n", "scheme"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    if hasattr(args, "grid_space"):
-        config.grid_space = args.grid_space
-    if hasattr(args, "check"):
-        config.checks = args.check
-    if args.command in ("caps", "gen-points"):
-        config.d = getattr(args, "d", None)
-        if args.command == "gen-points":
-            config.d = args.sphere_dim if args.sphere_dim is not None else (
-                int(round(2 * lam + 1)) if lam is not None else None
-            )
-        config.s = getattr(args, "s", None)
-    return config
-
-
 _DISPATCH = {
     "eval": cmd_eval,
     "coeffs": cmd_coeffs,
@@ -387,8 +323,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _DISPATCH[args.command](config)
+        if args.sphere_dim is not None:
+            args.lam = (args.sphere_dim - 1) / 2.0
+        args.descriptor = _load_descriptor(args.kernel) if getattr(args, "kernel", None) else None
+        args.descriptor2 = _load_descriptor(args.kernel2) if getattr(args, "kernel2", None) else None
+        return _DISPATCH[args.command](args)
     except NotPositiveDefiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

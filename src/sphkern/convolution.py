@@ -29,11 +29,10 @@ Everything here is pure and holds no shared mutable state.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import beta, betainc
 
 from .gegenbauer import (
     GegenbauerParams,
@@ -44,11 +43,11 @@ from .gegenbauer import (
     transform,
     weight_w,
 )
+from .kernels import _TrigPowerSum
 from .operators import montee_numeric, mu
 from .zonal import ZonalKernel
 
 __all__ = [
-    "CapFunction",
     "cap_indicator",
     "conv0",
     "conv0_kernel",
@@ -66,20 +65,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # spherical cap indicators and their antiderivative ladder
-
-
-@dataclass(frozen=True)
-class CapFunction:
-    """Indicator chi_[c,1] of a spherical cap of geodesic radius arccos(c)."""
-
-    c: float
-
-    def __post_init__(self):
-        if not (-1.0 < self.c < 1.0):
-            raise ValueError(f"cap parameter must lie in (-1, 1), got {self.c}")
-
-    def as_kernel(self) -> ZonalKernel:
-        return cap_indicator(self.c)
 
 
 def _cap_power(c: float, k: int) -> ZonalKernel:
@@ -224,75 +209,26 @@ def hop_constant(params: GegenbauerParams, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# trigonometric-polynomial bookkeeping for exact derivative distribution
-
-
-class _TrigPoly:
-    """sum c[a,b] sin(u)^a cos(u)^b with exact derivative arithmetic."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v != 0.0}
-
-    @classmethod
-    def const(cls, c: float) -> "_TrigPoly":
-        return cls({(0, 0): float(c)})
-
-    def add(self, other: "_TrigPoly") -> "_TrigPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0.0) + v
-        return _TrigPoly(out)
-
-    def scale(self, c: float) -> "_TrigPoly":
-        return _TrigPoly({k: c * v for k, v in self.terms.items()})
-
-    def mul_sin(self) -> "_TrigPoly":
-        return _TrigPoly({(a + 1, b): v for (a, b), v in self.terms.items()})
-
-    def mul_cos(self) -> "_TrigPoly":
-        return _TrigPoly({(a, b + 1): v for (a, b), v in self.terms.items()})
-
-    def deriv(self) -> "_TrigPoly":
-        out = {}
-        for (a, b), v in self.terms.items():
-            if a:
-                key = (a - 1, b + 1)
-                out[key] = out.get(key, 0.0) + a * v
-            if b:
-                key = (a + 1, b - 1)
-                out[key] = out.get(key, 0.0) - b * v
-        return _TrigPoly(out)
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        if not self.terms:
-            return out
-        s, c = np.sin(u), np.cos(u)
-        for (a, b), v in self.terms.items():
-            out = out + v * s**a * c**b
-        return out
+# exact derivative distribution (trigonometric polynomials: p = 0 terms only)
 
 
 @lru_cache(maxsize=None)
 def _theta_derivative_terms(j: int):
-    """Terms of (d/du)^j Phi(cos u) as {i: TrigPoly} against Phi's ladder.
+    """Terms of (d/du)^j Phi(cos u) as {i: trig polynomial} against Phi's ladder.
 
     If phi_i denotes the i-th x-derivative of Phi, then
     (d/du)^j Phi(cos u) = sum_i terms[i](u) phi_i(cos u).
     """
     if j == 0:
-        return {0: _TrigPoly.const(1.0)}
+        return {0: _TrigPowerSum.const(1.0)}
     prev = _theta_derivative_terms(j - 1)
     out = {}
     for i, poly in prev.items():
         d = poly.deriv()
         if d.terms:
-            out[i] = out.get(i, _TrigPoly()).add(d)
+            out[i] = out.get(i, _TrigPowerSum()).add(d)
         shift = poly.mul_sin().scale(-1.0)
-        out[i + 1] = out.get(i + 1, _TrigPoly()).add(shift)
+        out[i + 1] = out.get(i + 1, _TrigPowerSum()).add(shift)
     return out
 
 
@@ -300,33 +236,19 @@ def _theta_derivative_terms(j: int):
 def _descente_chain_coeffs(m: int):
     """Coefficients of (d/dx)^m in terms of theta-derivatives at x = cos theta.
 
-    Returns {k: (TrigPoly N, power p)} with
-    (d/dx)^m H = sum_k N_k(theta) / sin(theta)^(p_k) * (d/dtheta)^k Htilde.
+    Returns {k: N_k} with
+    (d/dx)^m H = sum_k N_k(theta) / sin(theta)^(2m - k) * (d/dtheta)^k Htilde.
     """
     if m == 1:
-        return {1: (_TrigPoly.const(-1.0), 1)}
-    prev = _descente_chain_coeffs(m - 1)
+        return {1: _TrigPowerSum.const(-1.0)}
     out = {}
-
-    def accumulate(k, poly, p):
-        if k in out:
-            poly0, p0 = out[k]
-            top = max(p0, p)
-            lifted0 = poly0
-            for _ in range(top - p0):
-                lifted0 = lifted0.mul_sin()
-            lifted = poly
-            for _ in range(top - p):
-                lifted = lifted.mul_sin()
-            out[k] = (lifted0.add(lifted), top)
-        else:
-            out[k] = (poly, p)
-
-    for k, (poly, p) in prev.items():
-        # -(1/sin) d/dtheta [N/sin^p H^(k)]
+    for k, poly in _descente_chain_coeffs(m - 1).items():
+        # -(1/sin) d/dtheta [N / sin^p H^(k)], p = 2(m-1) - k; both parts
+        # land on the power 2m - k' of their own index k'
+        p = 2 * (m - 1) - k
         keep = poly.deriv().mul_sin().scale(-1.0).add(poly.mul_cos().scale(float(p)))
-        accumulate(k, keep, p + 2)
-        accumulate(k + 1, poly.scale(-1.0), p + 1)
+        out[k] = out.get(k, _TrigPowerSum()).add(keep)
+        out[k + 1] = out.get(k + 1, _TrigPowerSum()).add(poly.scale(-1.0))
     return out
 
 
@@ -399,10 +321,10 @@ def dimension_hop_conv(f: ZonalKernel, g: ZonalKernel, params: GegenbauerParams,
     lam + 1 levels the accumulated factor is (2m - 1)!!.  Montee is applied
     m times to each factor, the *_0 convolution is differentiated m times by
     distributing theta-derivatives onto the factors' antiderivative ladders,
-    and the chain rule converts to x-derivatives.  x = 1 is handled by the
-    even-derivative limit; x = -1 is outside the supported range.  At the
-    finitely many kink abscissae the value is the a.e. representative, see
-    conv_kink_abscissae.
+    and the chain rule converts to x-derivatives.  At the poles x = +-1, where
+    that chain rule degenerates, the x-derivatives are solved from the even
+    theta-derivatives at theta = 0 or pi.  At the finitely many kink
+    abscissae the value is the a.e. representative, see conv_kink_abscissae.
     """
     lam = params.lam
     m = int(round(lam)) + 1
@@ -442,13 +364,13 @@ def dimension_hop_conv(f: ZonalKernel, g: ZonalKernel, params: GegenbauerParams,
     sin_t = math.sin(theta)
     chain = _descente_chain_coeffs(m)
     total = 0.0
-    for k, (poly, p) in chain.items():
+    for k, poly in chain.items():
         k1 = (k + 1) // 2
         k2 = k - k1
         fa, ka = _factor_derivative(ladder_f, k1)
         fb, kb = _factor_derivative(ladder_g, k2)
         h_k = _conv_theta_derivative(fa, ka, fb, kb, theta, order)
-        total += float(poly(theta)) / sin_t**p * h_k
+        total += float(poly(theta)) / sin_t ** (2 * m - k) * h_k
     return dfact * total
 
 
@@ -456,23 +378,25 @@ def dimension_hop_conv(f: ZonalKernel, g: ZonalKernel, params: GegenbauerParams,
 # cap transform
 
 
-def cap_transform(params: GegenbauerParams, c: float, n: int, order: int = 200) -> float:
-    """int_c^1 C^lam_n dOmega_lam by the closed form, lam > 0, n >= 1.
+def cap_transform(params: GegenbauerParams, c: float, n: int) -> float:
+    """int_c^1 C^lam_n dOmega_lam by the closed form, lam > 0.
 
-    Equals (2 lam / (n (2 lam + n))) (1 - c^2)^(lam + 1/2) C^(lam+1)_(n-1)(c).
-    The n = 0 coefficient is outside the formula's range and falls back to
-    direct quadrature (with a warning).
+    For n >= 1 this is (2 lam / (n (2 lam + n))) (1 - c^2)^(lam + 1/2)
+    C^(lam+1)_(n-1)(c).  For n = 0 it is the cap mass
+    1/2 B(lam + 1/2, 1/2) I_(1-c^2)(lam + 1/2, 1/2) for c >= 0, reflected to
+    B(lam + 1/2, 1/2) minus that for c < 0.
     """
     lam = params.lam
     if lam <= 0.0:
         raise ValueError("the cap transform closed form needs lambda > 0")
     if not (-1.0 < c < 1.0):
         raise ValueError("cap parameter must lie in (-1, 1)")
-    if n == 0:
-        warnings.warn("cap transform closed form is for n >= 1; using direct quadrature for n = 0")
-        return cap_transform_quadrature(params, c, 0, order=order)
     if n < 0:
         raise ValueError("degree n must be nonnegative")
+    if n == 0:
+        full = float(beta(lam + 0.5, 0.5))
+        half = 0.5 * full * float(betainc(lam + 0.5, 0.5, 1.0 - c * c))
+        return half if c >= 0.0 else full - half
     up = GegenbauerParams(lam + 1.0)
     return (
         2.0

@@ -4,9 +4,12 @@ Three groups live here:
 
 * truncated angular powers f_m(cos theta) = (t - theta)^m_+, strictly
   positive definite on S^(2m-1) for m = 2, 3, 4;
-* their montee iterates I^k f_m, with the printed closed forms for
-  I f_2, I f_3, I^2 f_3, I f_4, I^2 f_4, a recurrence evaluator for a single
-  montee of any order m, and numeric composition beyond that;
+* their montee iterates I^k f_m for every m, k >= 1, evaluated from one exact
+  algebra: finite sums of c u^p cos(j theta) and c u^p sin(j theta) with
+  u = t - theta, a family closed under montee.  The printed closed forms for
+  I f_2, I f_3, I^2 f_3, I f_4, I^2 f_4 and the single-montee recurrence stay
+  as public oracles (eval_montee_closed_form, eval_montee_recurrence); no
+  production path calls them;
 * the cap self-convolution kernels N_3, N_5, N_7, N_9, supported on
   geodesic balls of radius 2s and normalized to 1 at x = 1.
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,7 +45,6 @@ __all__ = [
 CLOSED_FORM_TAGS = ("If2", "If3", "I2f3", "If4", "I2f4")
 
 _CLOSED_FORM_KEYS = {"If2": (2, 1), "If3": (3, 1), "I2f3": (3, 2), "If4": (4, 1), "I2f4": (4, 2)}
-_KEY_TO_TAG = {v: k for k, v in _CLOSED_FORM_KEYS.items()}
 
 
 def _check_support_angle(t: float):
@@ -82,7 +84,7 @@ def eval_truncated_power(k: TruncatedPower, x):
 
 
 def eval_montee_closed_form(which: str, t: float, x):
-    """Evaluate one of the printed montee closed forms.
+    """Evaluate one of the printed montee closed forms (oracle route).
 
     `which` is one of 'If2', 'If3', 'I2f3', 'If4', 'I2f4'.  The value is 0
     for theta >= t.
@@ -146,8 +148,7 @@ def eval_montee_recurrence(m: int, t: float, x, k: int = 1):
     """Single montee I f_m via the double integration-by-parts recurrence.
 
     Chains down to the printed base cases I f_1 and I f_2; only k = 1 is
-    supported here (higher iterates compose montee_numeric, see
-    MonteeIterate).
+    supported.  An oracle route: MonteeIterate evaluates every iterate.
     """
     if m <= 0:
         raise ValueError("exponent m must be a positive integer")
@@ -160,14 +161,141 @@ def eval_montee_recurrence(m: int, t: float, x, k: int = 1):
     return float(out[0]) if scalar else out
 
 
+# ---------------------------------------------------------------------------
+# exact montee algebra
+
+# sin/cos(theta) times cos(j theta) (kind 0) or sin(j theta) (kind 1), as
+# (shift of j, resulting kind, weight) pairs from the product-to-sum formulas.
+_PRODUCT_TO_SUM = {
+    ("sin", 0): ((1, 1, 0.5), (-1, 1, -0.5)),
+    ("sin", 1): ((-1, 0, 0.5), (1, 0, -0.5)),
+    ("cos", 0): ((1, 0, 0.5), (-1, 0, 0.5)),
+    ("cos", 1): ((1, 1, 0.5), (-1, 1, 0.5)),
+}
+
+
+def _accumulate(out: dict, p: int, j: int, kind: int, v: float):
+    # fold negative frequencies onto positive ones; sin(0 theta) vanishes
+    if j < 0:
+        j, v = -j, (v if kind == 0 else -v)
+    if j == 0 and kind == 1:
+        return
+    out[(p, j, kind)] = out.get((p, j, kind), 0.0) + v
+
+
+@lru_cache(maxsize=None)
+def _primitive_term(p: int, j: int, kind: int) -> tuple:
+    """Terms of int u^p cos|sin(j theta) dtheta, u = t - theta, by parts."""
+    if j == 0:
+        return (((p + 1, 0, 0), -1.0 / (p + 1)),)
+    out, coef = [], 1.0
+    for q in range(p, -1, -1):
+        if kind == 0:
+            out.append(((q, j, 1), coef / j))
+        else:
+            out.append(((q, j, 0), -coef / j))
+            coef = -coef
+        coef *= q / j
+        kind = 1 - kind
+    return tuple(out)
+
+
+class _TrigPowerSum:
+    """Finite sum of c u^p cos(j theta) and c u^p sin(j theta), u = t - theta.
+
+    Terms are keyed (p, j, kind), kind 0 for cos and 1 for sin; (0, 0, 0) is
+    the constant.  The family is closed under products with sin/cos theta,
+    d/dtheta and montee, so every iterate I^k f_m is exact here.  With p = 0
+    terms only it is a trigonometric polynomial and t plays no role.
+    """
+
+    def __init__(self, terms=None):
+        self.terms = {k: v for k, v in (terms or {}).items() if v != 0.0}
+
+    @classmethod
+    def const(cls, c: float) -> "_TrigPowerSum":
+        return cls({(0, 0, 0): float(c)})
+
+    def add(self, other: "_TrigPowerSum") -> "_TrigPowerSum":
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, 0.0) + v
+        return _TrigPowerSum(out)
+
+    def scale(self, c: float) -> "_TrigPowerSum":
+        return _TrigPowerSum({k: c * v for k, v in self.terms.items()})
+
+    def _mul(self, factor: str) -> "_TrigPowerSum":
+        out = {}
+        for (p, j, kind), v in self.terms.items():
+            for shift, kind2, w in _PRODUCT_TO_SUM[factor, kind]:
+                _accumulate(out, p, j + shift, kind2, w * v)
+        return _TrigPowerSum(out)
+
+    def mul_sin(self) -> "_TrigPowerSum":
+        return self._mul("sin")
+
+    def mul_cos(self) -> "_TrigPowerSum":
+        return self._mul("cos")
+
+    def deriv(self) -> "_TrigPowerSum":
+        """d/dtheta, with du/dtheta = -1."""
+        out = {}
+        for (p, j, kind), v in self.terms.items():
+            if p:
+                _accumulate(out, p - 1, j, kind, -p * v)
+            _accumulate(out, p, j, 1 - kind, (-j if kind == 0 else j) * v)
+        return _TrigPowerSum(out)
+
+    def montee(self, t: float) -> "_TrigPowerSum":
+        """(I f)(cos theta) = int_theta^t f(cos phi) sin phi dphi = G(t) - G(theta)."""
+        prim = {}
+        for (p, j, kind), v in self.mul_sin().terms.items():
+            for (q, jj, kk), w in _primitive_term(p, j, kind):
+                _accumulate(prim, q, jj, kk, w * v)
+        at_t = math.fsum(
+            v * (math.cos(j * t) if kind == 0 else math.sin(j * t)) for (p, j, kind), v in prim.items() if p == 0
+        )
+        return _TrigPowerSum(prim).scale(-1.0).add(_TrigPowerSum.const(at_t))
+
+    @cached_property
+    def _horner(self) -> list:
+        # [(j, kind, coefficients from the highest power of u down)]
+        groups = {}
+        for (p, j, kind), v in self.terms.items():
+            groups.setdefault((j, kind), {})[p] = v
+        return [
+            (j, kind, [c.get(p, 0.0) for p in range(max(c), -1, -1)]) for (j, kind), c in sorted(groups.items())
+        ]
+
+    def __call__(self, theta, t: float = 0.0):
+        theta = np.asarray(theta, dtype=float)
+        u = t - theta
+        out = np.zeros_like(theta)
+        for j, kind, coeffs in self._horner:
+            acc = coeffs[0]
+            for c in coeffs[1:]:
+                acc = acc * u + c
+            if j:
+                acc = acc * (np.cos(j * theta) if kind == 0 else np.sin(j * theta))
+            out = out + acc
+        return out
+
+
+@lru_cache(maxsize=256)
+def _montee_terms(m: int, t: float, k: int) -> _TrigPowerSum:
+    """I^k f_m exactly; k = 0 is f_m = u^m itself."""
+    if k == 0:
+        return _TrigPowerSum({(m, 0, 0): 1.0})
+    return _montee_terms(m, t, k - 1).montee(t)
+
+
 @dataclass(frozen=True)
 class MonteeIterate:
     """I^k f_m: k-fold montee of a truncated power, supported like its base.
 
-    Closed forms are used when available, the recurrence for any single
-    montee, and numeric montee composition beyond that (I^3 f_4 has no
-    closed-form expansion here and is realized numerically on top of
-    I^2 f_4).
+    Every (m, k) is evaluated from the same exact algebra, and every iterate
+    records its exact derivative I^(k-1) f_m and antiderivative I^(k+1) f_m.
     """
 
     base: TruncatedPower
@@ -177,43 +305,24 @@ class MonteeIterate:
         if self.k < 1:
             raise ValueError("montee count k must be >= 1")
 
-    @cached_property
-    def _evaluator(self):
-        m, t, k = self.base.m, self.base.t, self.k
-        tag = _KEY_TO_TAG.get((m, k))
-        if tag is not None:
-            return lambda x: eval_montee_closed_form(tag, t, x)
-        if k == 1:
-            return lambda x: eval_montee_recurrence(m, t, x)
-        # Compose numeric montees on top of the deepest exact iterate.
-        from .operators import montee_numeric
-
-        k_exact = max([kk for (mm, kk) in _KEY_TO_TAG if mm == m and kk < k] + [1])
-        kernel = MonteeIterate(self.base, k_exact).as_kernel()
-        for _ in range(k - k_exact):
-            kernel = montee_numeric(kernel, tol=1e-12).as_kernel()
-        return kernel
-
     def as_kernel(self) -> ZonalKernel:
         m, t, k = self.base.m, self.base.t, self.k
-        if k == 1:
-            derivative = self.base.as_kernel()
-        else:
-            derivative = MonteeIterate(self.base, k - 1).as_kernel()
-        anti = None
-        if (m, k + 1) in _KEY_TO_TAG:
-            anti = lambda: MonteeIterate(self.base, k + 1).as_kernel()  # noqa: E731
+        derivative = self.base.as_kernel() if k == 1 else MonteeIterate(self.base, k - 1).as_kernel()
         return ZonalKernel(
-            fn=lambda x: np.asarray(self._evaluator(x), dtype=float),
+            fn=self,
             name=f"I^{k} f_{m}(t={t:g})",
             breakpoints=(math.cos(t), 1.0),
             derivative=derivative,
-            antiderivative_fn=anti,
+            antiderivative_fn=lambda: MonteeIterate(self.base, k + 1).as_kernel(),
             descriptor={"family": "montee", "m": m, "k": k, "t": t},
         )
 
     def __call__(self, x):
-        return self._evaluator(x)
+        m, t = self.base.m, self.base.t
+        scalar = np.isscalar(x)
+        theta = np.arccos(np.atleast_1d(clamp_x(x)))
+        out = np.where(theta < t, _montee_terms(m, t, self.k)(theta, t), 0.0)
+        return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ Kernels carry structural metadata used throughout the package:
   kernel was built as an antiderivative.  The descente operator uses this as
   an analytic fast path.
 * ``antiderivative_fn`` -- factory returning the exact cumulative integral
-  from -1 when a closed form exists; otherwise montee falls back to numeric
-  quadrature.
+  from -1 when one is known: every truncated power and montee iterate (one
+  exact montee algebra) and every cap indicator power records it.  Kernels
+  without one (N_d, series) fall back to numeric montee quadrature.
 
 Kernels are immutable and evaluation is pure.
 """

@@ -3,13 +3,14 @@ identity against printed constants and series reconstructions, the cap
 transform, and the algebra properties."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import roots_gegenbauer
 
+import sphkern.convolution
 from sphkern.convolution import (
-    CapFunction,
     cap_indicator,
     cap_montee_selfconv0_closed,
     cap_transform,
@@ -50,15 +51,16 @@ def printed_a_value(m: int, s: float) -> float:
 
 
 class TestCapFunction:
+    # the cap function chi_[c,1], built by cap_indicator
     def test_indicator_values(self):
-        chi = CapFunction(0.3).as_kernel()
+        chi = cap_indicator(0.3)
         assert chi(0.5) == 1.0
         assert chi(0.3) == 1.0
         assert chi(0.1) == 0.0
 
     def test_parameter_range(self):
         with pytest.raises(ValueError):
-            CapFunction(1.0)
+            cap_indicator(1.0)
 
 
 class TestConv0:
@@ -178,6 +180,33 @@ class TestDimensionHop:
         g = cap_indicator(0.5)
         assert dimension_hop_conv(g, g, P0, -1.0) == pytest.approx(0.0, abs=1e-14)
 
+    def test_antipode_pole_branch(self):
+        # chi_[-0.5,1] *_1 chi_[-0.5,1] is nonzero at x = -1
+        g = cap_indicator(-0.5)
+        at_pole = dimension_hop_conv(g, g, P0, -1.0)
+        assert at_pole == pytest.approx(0.95661147749, abs=1e-10)
+        generic = dimension_hop_conv(g, g, P0, math.cos(math.pi - 1e-3))
+        assert abs(at_pole - generic) <= 1e-10
+        ghat = transform(g, P1, 200, order=400)
+        plain_series = series_eval(conv_lambda_coeffs(ghat, ghat), -1.0)
+        assert abs(at_pole - plain_series) <= 5e-5
+
+    def test_f2_star2_uses_exact_ladder(self, monkeypatch):
+        # the montee ladder of f_2 is exact at every level: no numeric montee
+        def no_numeric_montee(*args, **kwargs):
+            raise AssertionError("numeric montee called")
+
+        monkeypatch.setattr(sphkern.convolution, "montee_numeric", no_numeric_montee)
+        from sphkern.kernels import TruncatedPower
+
+        f2 = TruncatedPower(2, 1.0).as_kernel()
+        fhat = transform(f2, P2, 200, order=400)
+        xs = np.cos((np.arange(40) + 0.5) * math.pi / 40)
+        kinks = np.array(conv_kink_abscissae(f2, f2))
+        xs = xs[np.min(np.abs(xs[:, None] - kinks[None, :]), axis=1) > 0.02]
+        hop = np.array([dimension_hop_conv(f2, f2, P1, float(x)) for x in xs])
+        assert np.max(np.abs(hop - series_eval(conv_lambda_coeffs(fhat, fhat), xs))) <= 1e-12
+
     def test_star1_matches_series_reconstruction(self):
         # Theorem 4.1 identity: hop values match the coefficient-product series
         for c in (0.0, 0.5):
@@ -245,10 +274,15 @@ class TestCapTransform:
                         cap_transform_quadrature(p, c, n, order=200), abs=1e-10
                     )
 
-    def test_degree_zero_falls_back_with_warning(self):
-        with pytest.warns(UserWarning):
-            val = cap_transform(P1, 0.5, 0)
-        assert val == pytest.approx(cap_transform_quadrature(P1, 0.5, 0, order=200), abs=1e-12)
+    def test_degree_zero_exact_cap_mass(self):
+        # the incomplete-beta cap mass, reflected for c < 0, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in (0.5, 1.0, 2.0):
+                p = GegenbauerParams(lam)
+                for c in (-0.9, -0.5, 0.0, 0.5, 0.9):
+                    want = cap_transform_quadrature(p, c, 0, order=200)
+                    assert abs(cap_transform(p, c, 0) - want) <= 1e-13
 
     def test_lambda_zero_rejected(self):
         with pytest.raises(ValueError):

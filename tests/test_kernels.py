@@ -129,14 +129,22 @@ class TestMonteeRecurrence:
 
 
 class TestMonteeIterate:
-    def test_i3f4_via_numeric_composition(self):
-        # I^3 f_4 has no closed-form evaluator; the numeric composition must
-        # agree with a direct montee of the I^2 f_4 closed form
-        t = 2.0
-        i3 = MonteeIterate(TruncatedPower(4, t), 3).as_kernel()
-        oracle = montee_numeric(MonteeIterate(TruncatedPower(4, t), 2).as_kernel(), tol=1e-12)
-        grid = np.linspace(-1.0, 1.0, 51)
-        assert np.max(np.abs(i3(grid) - oracle(grid))) < 1e-9
+    @pytest.mark.parametrize("t", (0.5, math.pi / 2, 2.5))
+    @pytest.mark.parametrize("k", (1, 2, 3, 4))
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_numeric_montee_of_previous_iterate(self, m, k, t):
+        # every (m, k) comes from the exact montee algebra; one numeric
+        # montee of iterate k - 1 is the independent oracle.  Its error bound
+        # sits a decade under the gate; at 1e-12 the adaptive rule chases
+        # roundoff on the large m = 8 iterates for tens of seconds.
+        base = TruncatedPower(m, t)
+        kernel = MonteeIterate(base, k).as_kernel()
+        previous = base.as_kernel() if k == 1 else MonteeIterate(base, k - 1).as_kernel()
+        grid = np.linspace(-1.0, 1.0, 1001)
+        oracle = montee_numeric(previous, tol=1e-11)
+        assert np.max(np.abs(kernel(grid) - oracle(grid))) <= 1e-10
+        assert np.array_equal(kernel.derivative(grid), previous(grid))
+        assert kernel.antiderivative() is not None
 
     def test_derivative_chain(self):
         t = 1.0
