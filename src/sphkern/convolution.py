@@ -5,9 +5,10 @@ x = cos(theta),
 
     (f *_0 g)(cos theta) = 1/2 int_{-pi}^{pi} f(cos(theta - t)) g(cos t) dt,
 
-computed by Gauss-Legendre panels split at the integrand's kink angles.
-Convolutions at integer levels above it are evaluated through the hop
-identity
+computed by Gauss-Legendre panels (``quadrature.circle_rule``) split at the
+integrand's kink angles; the same circle integral also gives every
+theta-derivative the hop needs.  Convolutions at integer levels above it are
+evaluated through the hop identity
 
     (f *_(lam+1) g)(x) = (2 lam + 1) D[(I f) *_lam (I g)](x)   a.e.,
 
@@ -16,8 +17,9 @@ The differentiations are never done by finite differences: theta-derivatives
 of the convolution are distributed onto the factors under the integral sign
 (each factor's exact antiderivative ladder supplies the derivatives), and
 the x-derivatives are recovered from theta-derivatives by the chain rule
-for x = cos(theta).  At x = 1, where that chain rule degenerates, the
-x-derivatives are solved from the even theta-derivatives at theta = 0.
+for x = cos(theta).  At the poles x = +-1, where that chain rule
+degenerates, the x-derivatives are solved from the even theta-derivatives
+at theta = 0 or pi.
 
 For lambda > 0 the transform side is multiplicative, so *_lambda is also
 realized as entrywise coefficient products; no explicit product kernel is
@@ -40,11 +42,13 @@ from .gegenbauer import (
     clamp_x,
     eval_gegenbauer,
     gegenbauer_at_one,
+    series_eval,
     transform,
     weight_w,
 )
 from .kernels import _TrigPowerSum
 from .operators import montee_numeric, mu
+from .quadrature import circle_rule, kink_angles, panel_rule, theta_rule
 from .zonal import ZonalKernel
 
 __all__ = [
@@ -93,40 +97,22 @@ def cap_indicator(c: float) -> ZonalKernel:
 
 
 # ---------------------------------------------------------------------------
-# panel quadrature on the circle
+# *_0 on the circle
 
 
-@lru_cache(maxsize=64)
-def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+def _circle_conv(fac_a, kinks_a, fac_b, kinks_b, theta: float, order: int) -> float:
+    """(1/2) int fac_a(theta - t) fac_b(t) dt with panel splits at all kinks.
+
+    The factors are functions of the angle; fac_a's kink angles shift by theta.
+    """
+    kinks = [v for u in kinks_b for v in (u, -u)]
+    kinks += [v for u in kinks_a for v in (theta - u, theta + u)]
+    t, w = circle_rule(kinks, order)
+    return 0.5 * float(w @ (fac_a(theta - t) * fac_b(t)))
 
 
-def _wrap_angle(t: float) -> float:
-    return (t + math.pi) % (2.0 * math.pi) - math.pi
-
-
-def _kink_angles(kernel) -> list:
-    return [math.acos(float(np.clip(b, -1.0, 1.0))) for b in getattr(kernel, "breakpoints", ())]
-
-
-def _circle_panels(kinks, order: int):
-    """GL nodes/weights on [-pi, pi] split at the given angles."""
-    edges = [-math.pi, math.pi]
-    for t in kinks:
-        w = _wrap_angle(t)
-        edges.append(w)
-        if abs(w) > math.pi - 1e-12:
-            edges.append(-math.pi if w > 0 else math.pi)
-    edges = np.array(sorted(edges))
-    keep = np.concatenate([[True], np.diff(edges) > 1e-13])
-    edges = edges[keep]
-    gl_nodes, gl_weights = _leggauss(order)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(0.5 * (hi + lo) + half * gl_nodes)
-        weights.append(half * gl_weights)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _on_circle(kernel):
+    return lambda u: np.asarray(kernel(np.cos(u)))
 
 
 def conv0(F, G, theta: float, order: int = 64) -> float:
@@ -136,13 +122,7 @@ def conv0(F, G, theta: float, order: int = 64) -> float:
     F factor's shifted by theta) bound the panels, which restores spectral
     convergence for piecewise factors.
     """
-    kinks = []
-    for u in _kink_angles(G):
-        kinks.extend(( u, -u))
-    for u in _kink_angles(F):
-        kinks.extend((theta - u, theta + u))
-    t, w = _circle_panels(kinks, order)
-    return 0.5 * float(w @ (np.asarray(F(np.cos(theta - t))) * np.asarray(G(np.cos(t)))))
+    return _circle_conv(_on_circle(F), kink_angles(F), _on_circle(G), kink_angles(G), theta, order)
 
 
 def conv_kink_abscissae(F, G) -> tuple:
@@ -152,8 +132,8 @@ def conv_kink_abscissae(F, G) -> tuple:
     angles; comparison grids should exclude them (the hop identity holds
     almost everywhere only).
     """
-    uf = _kink_angles(F) or [0.0]
-    ug = _kink_angles(G) or [0.0]
+    uf = kink_angles(F) or [0.0]
+    ug = kink_angles(G) or [0.0]
     angles = set()
     for a in uf:
         for b in ug:
@@ -209,7 +189,7 @@ def hop_constant(params: GegenbauerParams, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact derivative distribution (trigonometric polynomials: p = 0 terms only)
+# the hop: exact derivative distribution onto the circle integral
 
 
 @lru_cache(maxsize=None)
@@ -299,19 +279,8 @@ def _factor_derivative(ladder: list, j: int):
 
     kinks = set()
     for kern in ladder:
-        kinks.update(_kink_angles(kern))
+        kinks.update(kink_angles(kern))
     return evaluate, sorted(kinks)
-
-
-def _conv_theta_derivative(fac_a, kinks_a, fac_b, kinks_b, theta: float, order: int) -> float:
-    """(1/2) int fac_a(theta - t) fac_b(t) dt with panel splits at all kinks."""
-    kinks = []
-    for u in kinks_b:
-        kinks.extend((u, -u))
-    for u in kinks_a:
-        kinks.extend((theta - u, theta + u))
-    t, w = _circle_panels(kinks, order)
-    return 0.5 * float(w @ (fac_a(theta - t) * fac_b(t)))
 
 
 def dimension_hop_conv(f: ZonalKernel, g: ZonalKernel, params: GegenbauerParams, x: float, order: int = 64) -> float:
@@ -349,7 +318,7 @@ def dimension_hop_conv(f: ZonalKernel, g: ZonalKernel, params: GegenbauerParams,
             fb, kb = _factor_derivative(ladder_g, k)
             # the k-k split evaluated at the pole; fa(pole - t) carries the
             # parity of the k-th derivative automatically
-            h_theta.append(_conv_theta_derivative(fa, ka, fb, kb, pole, order))
+            h_theta.append(_circle_conv(fa, ka, fb, kb, pole, order))
         mat = _theta_taylor_matrix(m)
         h_x = []
         for k in range(1, m + 1):
@@ -369,7 +338,7 @@ def dimension_hop_conv(f: ZonalKernel, g: ZonalKernel, params: GegenbauerParams,
         k2 = k - k1
         fa, ka = _factor_derivative(ladder_f, k1)
         fb, kb = _factor_derivative(ladder_g, k2)
-        h_k = _conv_theta_derivative(fa, ka, fb, kb, theta, order)
+        h_k = _circle_conv(fa, ka, fb, kb, theta, order)
         total += float(poly(theta)) / sin_t ** (2 * m - k) * h_k
     return dfact * total
 
@@ -413,12 +382,9 @@ def cap_transform_quadrature(params: GegenbauerParams, c: float, n: int, order: 
     Pulled back to theta in [0, arccos c], where the integrand is smooth for
     every lambda >= 0.
     """
-    hi = math.acos(float(np.clip(c, -1.0, 1.0)))
-    gl_nodes, gl_weights = _leggauss(order)
-    half = 0.5 * hi
-    theta = half + half * gl_nodes
+    theta, w = panel_rule((0.0, math.acos(float(np.clip(c, -1.0, 1.0)))), order)
     vals = np.asarray(eval_gegenbauer(params, n, np.cos(theta))) * np.sin(theta) ** (2.0 * params.lam)
-    return half * float(gl_weights @ vals)
+    return float(w @ vals)
 
 
 def cap_montee_selfconv0_closed(s: float, x) -> np.ndarray | float:
@@ -446,11 +412,8 @@ def cap_montee_selfconv0_closed(s: float, x) -> np.ndarray | float:
 
 def bnorm(kernel, params: GegenbauerParams, order: int = 128) -> float:
     """B_lambda norm: int |f| dOmega_lambda by theta-space panel quadrature."""
-    from .gegenbauer import _theta_panel_rule
-
-    theta, w = _theta_panel_rule(getattr(kernel, "breakpoints", ()), order)
-    vals = np.abs(np.asarray(kernel(np.cos(theta))))
-    return float((w * np.sin(theta) ** (2.0 * params.lam)) @ vals)
+    x, w = theta_rule(getattr(kernel, "breakpoints", ()), params.lam, order)
+    return float(w @ np.abs(np.asarray(kernel(x))))
 
 
 def conv_property_check(f, g, h, params: GegenbauerParams, order: int = 96, trunc: int = 30) -> dict:
@@ -491,8 +454,6 @@ def conv_property_check(f, g, h, params: GegenbauerParams, order: int = 96, trun
         left = conv_lambda_coeffs(fg, hhat)
         right = conv_lambda_coeffs(fhat, conv_lambda_coeffs(ghat, hhat))
         report["associativity"] = float(np.max(np.abs(left.coeffs - right.coeffs)))
-        from .gegenbauer import series_eval
-
         fg_kernel = ZonalKernel(fn=lambda xs: np.asarray(series_eval(fg, xs)), name="series conv")
         norm_fg = bnorm(fg_kernel, params, order)
         norm_f, norm_g = bnorm(f, params, order), bnorm(g, params, order)

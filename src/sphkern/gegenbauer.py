@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from .errors import EvaluationError, ResourceLimitError
+from .quadrature import theta_rule
 
 __all__ = [
     "GegenbauerParams",
@@ -81,13 +81,20 @@ class GegenbauerParams:
         return 2.0 * self.lam + 1.0
 
 
-def _chebyshev_t(n: int, x: np.ndarray) -> np.ndarray:
-    if n == 0:
-        return np.ones_like(x)
-    t_prev, t = np.ones_like(x), x.copy()
-    for _ in range(2, n + 1):
-        t_prev, t = t, 2.0 * x * t - t_prev
-    return t
+def _recurrence(lam: float, n_max: int, x: np.ndarray):
+    """Yield C^lam_n(x), n = 0..n_max, by the three-term recurrence; T_n at lam = 0."""
+    prev = np.ones_like(x)
+    yield prev
+    if n_max == 0:
+        return
+    cur = 2.0 * lam * x if lam > 0.0 else x.copy()
+    yield cur
+    for n in range(2, n_max + 1):
+        if lam > 0.0:
+            prev, cur = cur, (2.0 * (n + lam - 1.0) * x * cur - (n + 2.0 * lam - 2.0) * prev) / n
+        else:
+            prev, cur = cur, 2.0 * x * cur - prev
+        yield cur
 
 
 def eval_gegenbauer(params: GegenbauerParams, n: int, x) -> np.ndarray | float:
@@ -100,17 +107,10 @@ def eval_gegenbauer(params: GegenbauerParams, n: int, x) -> np.ndarray | float:
         raise ValueError("degree n must be nonnegative")
     scalar = np.isscalar(x)
     x = clamp_x(x)
-    lam = params.lam
-    if n == 0:
-        out = np.ones_like(x)
-    elif lam == 0.0:
-        out = (2.0 / n) * _chebyshev_t(n, x)
-    else:
-        c_prev = np.ones_like(x)
-        c = 2.0 * lam * x
-        for k in range(2, n + 1):
-            c_prev, c = c, (2.0 * (k + lam - 1.0) * x * c - (k + 2.0 * lam - 2.0) * c_prev) / k
-        out = c
+    for out in _recurrence(params.lam, n, x):
+        pass
+    if params.lam == 0.0 and n > 0:
+        out = (2.0 / n) * out
     return float(out) if scalar else out
 
 
@@ -258,56 +258,11 @@ def quadrature_rule(params: GegenbauerParams, order: int) -> QuadratureRule:
 
 
 def _w_table(params: GegenbauerParams, n_max: int, x: np.ndarray) -> np.ndarray:
-    """Rows n = 0..n_max of W^lam_n(x) = C^lam_n(x) / C^lam_n(1)."""
-    lam = params.lam
+    """Rows n = 0..n_max of W^lam_n(x) = C^lam_n(x) / C^lam_n(1); W^0_n = T_n."""
     out = np.empty((n_max + 1, x.size))
-    out[0] = 1.0
-    if n_max == 0:
-        return out
-    if lam == 0.0:
-        # W^0_n = T_n for every n.
-        t_prev = np.ones_like(x)
-        t = x.copy()
-        out[1] = t
-        for n in range(2, n_max + 1):
-            t_prev, t = t, 2.0 * x * t - t_prev
-            out[n] = t
-        return out
-    c_prev = np.ones_like(x)
-    c = 2.0 * lam * x
-    out[1] = c / gegenbauer_at_one(params, 1)
-    for n in range(2, n_max + 1):
-        c_prev, c = c, (2.0 * (n + lam - 1.0) * x * c - (n + 2.0 * lam - 2.0) * c_prev) / n
-        out[n] = c / gegenbauer_at_one(params, n)
+    for n, c in enumerate(_recurrence(params.lam, n_max, x)):
+        out[n] = c if params.lam == 0.0 else c / gegenbauer_at_one(params, n)
     return out
-
-
-@lru_cache(maxsize=64)
-def _leggauss_cached(order: int):
-    return np.polynomial.legendre.leggauss(order)
-
-
-def _theta_panel_rule(breakpoints, order: int):
-    """Gauss-Legendre panels in theta on [0, pi], split at arccos(breakpoints).
-
-    Integrating in theta keeps the integrand smooth per panel even when the
-    kernel has sqrt-type behaviour at x = +-1, since dOmega_lam pulls back to
-    sin(theta)^(2*lambda) d(theta).
-    """
-    edges = {0.0, math.pi}
-    for b in breakpoints:
-        if -1.0 <= b <= 1.0:
-            edges.add(math.acos(float(np.clip(b, -1.0, 1.0))))
-    edges = sorted(edges)
-    gl_nodes, gl_weights = _leggauss_cached(order)
-    thetas, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        if half <= 0.0:
-            continue
-        thetas.append(0.5 * (hi + lo) + half * gl_nodes)
-        weights.append(half * gl_weights)
-    return np.concatenate(thetas), np.concatenate(weights)
 
 
 def transform(f, params: GegenbauerParams, n_max: int, order: int = 256) -> "SeriesCoeffs":
@@ -321,9 +276,7 @@ def transform(f, params: GegenbauerParams, n_max: int, order: int = 256) -> "Ser
         raise ValueError("truncation must be nonnegative")
     breakpoints = tuple(getattr(f, "breakpoints", ()))
     if breakpoints:
-        theta, wq = _theta_panel_rule(breakpoints, order)
-        x = np.cos(theta)
-        wq = wq * np.sin(theta) ** (2.0 * params.lam)
+        x, wq = theta_rule(breakpoints, params.lam, order)
     else:
         rule = quadrature_rule(params, max(order, n_max + 1))
         x, wq = rule.nodes, rule.weights

@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError
 from .gegenbauer import (
     GegenbauerParams,
     SeriesCoeffs,
@@ -28,6 +27,7 @@ from .gegenbauer import (
     transform,
     weight_w,
 )
+from .quadrature import cumulative_integral
 from .zonal import ZonalKernel, gegenbauer_kernel
 
 __all__ = [
@@ -45,57 +45,6 @@ __all__ = [
 def mu(params: GegenbauerParams) -> float:
     """Auxiliary index mu_lambda: lambda for lambda > 0, and 1 at lambda = 0."""
     return params.lam if params.lam > 0.0 else 1.0
-
-
-# ---------------------------------------------------------------------------
-# adaptive panel quadrature for the cumulative integral
-
-
-_GL_COARSE = np.polynomial.legendre.leggauss(16)
-_GL_FINE = np.polynomial.legendre.leggauss(32)
-
-_MAX_BISECTIONS = 40
-
-
-def _gl_panel(f, lo: float, hi: float, rule) -> float:
-    nodes, wts = rule
-    half = 0.5 * (hi - lo)
-    return half * float(wts @ f(0.5 * (hi + lo) + half * nodes))
-
-
-def _adaptive_panel(f, lo: float, hi: float, tol: float, depth: int = 0):
-    coarse = _gl_panel(f, lo, hi, _GL_COARSE)
-    fine = _gl_panel(f, lo, hi, _GL_FINE)
-    err = abs(fine - coarse)
-    # the 1e-18 floor keeps integrable endpoint singularities from chasing
-    # sub-roundoff child tolerances; bisection chains are O(depth) long, so
-    # the accumulated slack stays far below any practical request
-    if err <= max(tol, 1e-18) or hi - lo < 4e-16:
-        return fine, err
-    if depth >= _MAX_BISECTIONS:
-        raise AccuracyError(
-            f"adaptive refinement stalled on [{lo}, {hi}]; achieved {err:.3e} > {tol:.3e}",
-            achieved=err,
-        )
-    mid = 0.5 * (lo + hi)
-    v1, e1 = _adaptive_panel(f, lo, mid, 0.5 * tol, depth + 1)
-    v2, e2 = _adaptive_panel(f, mid, hi, 0.5 * tol, depth + 1)
-    return v1 + v2, e1 + e2
-
-
-def _cumulative_integral(f, xs: np.ndarray, tol: float, breakpoints) -> np.ndarray:
-    """int_{-1}^{x} f for every x in xs, splitting panels at breakpoints."""
-    xs = np.asarray(xs, dtype=float)
-    uq, inv = np.unique(xs, return_inverse=True)
-    hi = uq[-1]
-    cuts = [b for b in breakpoints if -1.0 < b < hi]
-    edges = np.unique(np.concatenate([[-1.0], cuts, uq]))
-    panel_tol = tol / max(1, len(edges) - 1)
-    cum = np.zeros(edges.size)
-    for i in range(edges.size - 1):
-        val, _ = _adaptive_panel(f, edges[i], edges[i + 1], panel_tol)
-        cum[i + 1] = cum[i] + val
-    return cum[np.searchsorted(edges, uq)][inv].reshape(xs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +131,7 @@ def montee_numeric(f: ZonalKernel, tol: float = 1e-10) -> OperatorImage:
     bps = f.interior_breakpoints()
 
     def eval_array(xs: np.ndarray) -> np.ndarray:
-        return _cumulative_integral(f, xs, tol, bps)
+        return cumulative_integral(f, xs, tol, bps)
 
     return OperatorImage(
         source=f,

@@ -179,14 +179,11 @@ def classify(
     # strictly positive coefficient
     err_hat = np.abs(fine.coeffs - coarse.coeffs) + 1e-14 * scale
     expansion = fine.expansion_coeffs()
-    from .gegenbauer import gegenbauer_at_one, weight_w
+    err = SeriesCoeffs(params, err_hat, n_max).expansion_coeffs()
 
-    basis_factor = np.array(
-        [weight_w(params, n) / gegenbauer_at_one(params, n) for n in range(n_max + 1)]
-    )
-    err = err_hat * basis_factor
-
-    grid = np.linspace(-1.0, 1.0, 2001)
+    # a dip narrower than the grid spacing shows at the breakpoints
+    bps = np.array(f.interior_breakpoints(), dtype=float)
+    grid = np.concatenate([np.linspace(-1.0, 1.0, 2001), bps, np.nextafter(bps, -2.0), np.nextafter(bps, 2.0)])
     f_min = float(np.min(f(grid)))
 
     neg_count = int(np.sum(expansion < -tol))

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gegenbauer import clamp_x
+from .gegenbauer import clamp_x, eval_gegenbauer, gegenbauer_at_one
 
 __all__ = ["ZonalKernel", "constant_kernel", "zero_kernel", "gegenbauer_kernel"]
 
@@ -66,8 +66,6 @@ def zero_kernel() -> ZonalKernel:
 
 def gegenbauer_kernel(params, n: int, normalized: bool = False) -> ZonalKernel:
     """C^lam_n (or W^lam_n when normalized) wrapped as a smooth kernel."""
-    from .gegenbauer import eval_gegenbauer, gegenbauer_at_one
-
     scale = 1.0 / gegenbauer_at_one(params, n) if normalized else 1.0
     tag = "W" if normalized else "C"
     return ZonalKernel(

@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import sphkern
 from sphkern.cli import main
 
 N3_DESC = json.dumps({"family": "cap_conv", "d": 3, "s": math.pi / 4})
@@ -283,10 +285,14 @@ class TestDeterminism:
 
 
 def test_console_entry_point_runs():
+    # the child interpreter imports the same package this test run does
+    src = os.path.dirname(os.path.dirname(sphkern.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "sphkern.cli", "caps", "--d", "5", "--s", "0.6"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d"] == 5

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from sphkern.errors import ResourceLimitError
 from sphkern.gegenbauer import (
@@ -75,6 +76,39 @@ class TestEvalGegenbauer:
         for n in range(1, 9):
             lim = np.asarray(eval_gegenbauer(small, n, grid)) / 1e-6
             assert np.max(np.abs(lim - eval_gegenbauer(P0, n, grid))) < 1e-4
+
+
+class TestRecurrenceAgainstScipy:
+    """The shared C^lam_n / T_n recurrence against scipy.special, n <= 40."""
+
+    XS = np.concatenate([np.linspace(-1.0, 1.0, 41), [-0.999, -1e-3, 0.37, 0.999]])
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])
+    def test_eval_gegenbauer(self, lam):
+        p = GegenbauerParams(lam)
+        for n in range(41):
+            want = special.eval_gegenbauer(n, lam, self.XS)
+            got = eval_gegenbauer(p, n, self.XS)
+            assert np.max(np.abs(got - want)) <= 1e-13 * gegenbauer_at_one(p, n)
+
+    def test_eval_gegenbauer_lambda_zero_is_scaled_chebyshev(self):
+        assert np.array_equal(eval_gegenbauer(P0, 0, self.XS), np.ones_like(self.XS))
+        for n in range(1, 41):
+            want = (2.0 / n) * special.eval_chebyt(n, self.XS)
+            assert np.max(np.abs(eval_gegenbauer(P0, n, self.XS) - want)) <= 1e-13
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.5])
+    def test_series_eval_of_unit_vector(self, lam):
+        # e_n reconstructs w_lam(n) W^lam_n = w_lam(n) C^lam_n / C^lam_n(1)
+        p, trunc = GegenbauerParams(lam), 40
+        for n in (0, 1, 2, 7, 40):
+            unit = SeriesCoeffs(params=p, coeffs=np.eye(trunc + 1)[n], truncation=trunc)
+            if lam == 0.0:
+                basis = special.eval_chebyt(n, self.XS)
+            else:
+                basis = special.eval_gegenbauer(n, lam, self.XS) / gegenbauer_at_one(p, n)
+            want = weight_w(p, n) * basis
+            assert np.max(np.abs(series_eval(unit, self.XS) - want)) <= 1e-13 * weight_w(p, n)
 
 
 class TestAtOne:

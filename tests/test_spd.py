@@ -80,6 +80,23 @@ class TestClassify:
         assert report.cms_caveat is not None
         assert "S^1" in report.cms_caveat
 
+    def test_dip_between_grid_points_is_seen_at_breakpoints(self):
+        # a 2e-5 wide dip to -1 falls between the 2001 uniform grid points
+        x0, h = 0.1234567, 1e-5
+        dip = ZonalKernel(
+            fn=lambda x: 1.0 - 2.0 * np.maximum(0.0, 1.0 - np.abs(x - x0) / h),
+            breakpoints=(x0 - h, x0 + h, x0),
+        )
+        report = classify(dip, P1, 12)
+        assert report.f_min_on_grid == -1.0
+        assert not report.cx_evidence
+
+    def test_dip_just_past_a_breakpoint_is_seen(self):
+        # f < 0 only on (b, b + 1e-12]: the grid catches it at b's upper neighbour
+        b = 0.25
+        spike = ZonalKernel(fn=lambda x: np.where((x > b) & (x <= b + 1e-12), -1.0, 1.0), breakpoints=(b,))
+        assert classify(spike, P1, 12).f_min_on_grid == -1.0
+
     def test_minimum_truncation(self):
         with pytest.raises(ValueError):
             classify(cap_indicator(0.0), P1, 5)
