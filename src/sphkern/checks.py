@@ -260,29 +260,11 @@ def check_hop_constant(tol: float = 1e-12) -> CheckResult:
     return _result("hop_constant", worst, tol)
 
 
-def _a_value(m: int, s: float) -> float:
-    """Printed (g *_m g)(1) values, m = 1..4."""
-    c, sn = math.cos(s), math.sin(s)
-    if m == 1:
-        return 0.5 * s - 0.25 * math.sin(2.0 * s)
-    if m == 2:
-        return 0.25 * sn * c**3 - (5.0 / 8.0) * sn * c + (3.0 / 8.0) * s
-    if m == 3:
-        return (5.0 / 16.0) * s - (11.0 / 16.0) * sn * c + (13.0 / 24.0) * sn * c**3 - (1.0 / 6.0) * sn * c**5
-    return (
-        (35.0 / 128.0) * s
-        - (93.0 / 128.0) * sn * c
-        + (163.0 / 192.0) * sn * c**3
-        - (25.0 / 48.0) * sn * c**5
-        + 0.125 * sn * c**7
-    )
-
-
 def check_conv_at_one(tol: float = 1e-8) -> CheckResult:
     """dimension_hop_conv(chi, chi) at x=1 vs the printed a-values.
 
-    (g *_1 g)(1) at s = pi/4 plus the m = 2, 3, 4 formulas at s in
-    {pi/6, pi/3}.
+    (g *_m g)(1) is the normalizer a of N_(2m+1) (cap_kernel_coefficients):
+    m = 1 at s = pi/4 plus m = 2, 3, 4 at s in {pi/6, pi/3}.
     """
     worst = 0.0
     cases = [(1, math.pi / 4.0)] + [(m, s) for m in (2, 3, 4) for s in (math.pi / 6.0, math.pi / 3.0)]
@@ -290,7 +272,7 @@ def check_conv_at_one(tol: float = 1e-8) -> CheckResult:
         g = cap_indicator(math.cos(s))
         p = GegenbauerParams(float(m - 1))
         got = dimension_hop_conv(g, g, p, 1.0, order=80)
-        worst = max(worst, abs(got - _a_value(m, s)))
+        worst = max(worst, abs(got - cap_kernel_coefficients(2 * m + 1, s).a))
     return _result("hop_conv_printed_constants", worst, tol)
 
 

@@ -42,6 +42,7 @@ from .gegenbauer import (
     clamp_x,
     eval_gegenbauer,
     gegenbauer_at_one,
+    on_interval,
     series_eval,
     transform,
     weight_w,
@@ -145,13 +146,8 @@ def conv_kink_abscissae(F, G) -> tuple:
 
 def conv0_kernel(F, G, order: int = 64) -> ZonalKernel:
     """F *_0 G wrapped as a kernel (used for nested convolutions)."""
-
-    def fn(xs):
-        xs = np.atleast_1d(xs)
-        return np.array([conv0(F, G, math.acos(float(np.clip(x, -1, 1))), order) for x in xs])
-
     return ZonalKernel(
-        fn=fn,
+        fn=lambda xs: np.array([conv0(F, G, math.acos(x), order) for x in xs.flat]).reshape(xs.shape),
         name=f"({F.name} *0 {G.name})",
         breakpoints=conv_kink_abscissae(F, G),
     )
@@ -387,14 +383,13 @@ def cap_transform_quadrature(params: GegenbauerParams, c: float, n: int, order: 
     return float(w @ vals)
 
 
+@on_interval
 def cap_montee_selfconv0_closed(s: float, x) -> np.ndarray | float:
     """Closed form of ((I g) *_0 (I g))(x) for the cap g = chi_[cos s, 1].
 
     Valid on 0 < theta < 2s and zero beyond the support; the hop derivative
     of this function, normalized by a, is N_3.
     """
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(clamp_x(x))
     c2 = math.cos(2.0 * s)
     val = (
         0.25 * (2.0 * s - np.arccos(x)) * (x + c2 + 1.0)
@@ -402,8 +397,7 @@ def cap_montee_selfconv0_closed(s: float, x) -> np.ndarray | float:
         + 0.25 * (2.0 + c2) * np.sqrt(np.maximum(1.0 - x * x, 0.0))
         - 0.5 * math.sin(2.0 * s)
     )
-    out = np.where(x > c2, val, 0.0)
-    return float(out[0]) if scalar else out
+    return np.where(x > c2, val, 0.0)
 
 
 # ---------------------------------------------------------------------------

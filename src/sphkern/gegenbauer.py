@@ -15,6 +15,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,12 +53,32 @@ def clamp_x(x):
     """Snap values within 1e-12 of [-1, 1] back onto the interval.
 
     Dot products of unit vectors routinely land a few ulp outside; values
-    beyond the slack raise ValueError.
+    beyond the slack raise ValueError.  A float array already inside [-1, 1]
+    is returned as is, and only input in the slack band is clipped, as a copy.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < -1.0 - X_CLAMP_SLACK) or np.any(x > 1.0 + X_CLAMP_SLACK):
+    lo, hi = x.min(initial=1.0), x.max(initial=-1.0)  # an empty x is in range
+    if lo < -1.0 - X_CLAMP_SLACK or hi > 1.0 + X_CLAMP_SLACK:
         raise ValueError("argument outside [-1, 1] by more than 1e-12")
-    return np.clip(x, -1.0, 1.0)
+    return np.clip(x, -1.0, 1.0) if lo < -1.0 or hi > 1.0 else x
+
+
+def on_interval(fn):
+    """Apply the x contract of every zonal-profile evaluator to `fn`.
+
+    x is the last positional argument (options go by keyword).  The body
+    receives clamp_x(x) as a float array of at least one dimension, so it
+    never sees a value outside [-1, 1]; a scalar x gets a float back, and an
+    array x gets the body's array of its shape.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        *head, x = args
+        out = fn(*head, np.atleast_1d(clamp_x(x)), **kwargs)
+        return float(out[0]) if np.isscalar(x) else out
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -97,23 +118,22 @@ def _recurrence(lam: float, n_max: int, x: np.ndarray):
         yield cur
 
 
+@on_interval
 def eval_gegenbauer(params: GegenbauerParams, n: int, x) -> np.ndarray | float:
     """Evaluate C^lam_n(x) by the three-term recurrence.
 
     lambda = 0 uses the limit convention C^0_n = (2/n) T_n for n > 0.
-    Inputs within 1e-12 of [-1, 1] are clamped first.
     """
     if n < 0:
         raise ValueError("degree n must be nonnegative")
-    scalar = np.isscalar(x)
-    x = clamp_x(x)
     for out in _recurrence(params.lam, n, x):
         pass
     if params.lam == 0.0 and n > 0:
         out = (2.0 / n) * out
-    return float(out) if scalar else out
+    return out
 
 
+@on_interval
 def eval_gegenbauer_derivative(params: GegenbauerParams, n: int, x) -> np.ndarray | float:
     """d/dx C^lam_n(x) via the differentiated three-term recurrence.
 
@@ -122,32 +142,25 @@ def eval_gegenbauer_derivative(params: GegenbauerParams, n: int, x) -> np.ndarra
     """
     if n < 0:
         raise ValueError("degree n must be nonnegative")
-    scalar = np.isscalar(x)
-    x = clamp_x(x)
     lam = params.lam
     if n == 0:
-        out = np.zeros_like(x)
-    elif lam == 0.0:
+        return np.zeros_like(x)
+    if lam == 0.0:
         # T'_n from the differentiated Chebyshev recurrence, scaled by 2/n.
         t_prev, t = np.ones_like(x), x.copy()
         d_prev, d = np.zeros_like(x), np.ones_like(x)
         for _ in range(2, n + 1):
             t_prev, t, d_prev, d = t, 2.0 * x * t - t_prev, d, 2.0 * t + 2.0 * x * d - d_prev
-        out = (2.0 / n) * d
-    else:
-        c_prev = np.ones_like(x)
-        c = 2.0 * lam * x
-        d_prev = np.zeros_like(x)
-        d = np.full_like(x, 2.0 * lam)
-        if n == 1:
-            out = d
-        else:
-            for k in range(2, n + 1):
-                c_new = (2.0 * (k + lam - 1.0) * x * c - (k + 2.0 * lam - 2.0) * c_prev) / k
-                d_new = (2.0 * (k + lam - 1.0) * (c + x * d) - (k + 2.0 * lam - 2.0) * d_prev) / k
-                c_prev, c, d_prev, d = c, c_new, d, d_new
-            out = d
-    return float(out) if scalar else out
+        return (2.0 / n) * d
+    c_prev = np.ones_like(x)
+    c = 2.0 * lam * x
+    d_prev = np.zeros_like(x)
+    d = np.full_like(x, 2.0 * lam)
+    for k in range(2, n + 1):
+        c_new = (2.0 * (k + lam - 1.0) * x * c - (k + 2.0 * lam - 2.0) * c_prev) / k
+        d_new = (2.0 * (k + lam - 1.0) * (c + x * d) - (k + 2.0 * lam - 2.0) * d_prev) / k
+        c_prev, c, d_prev, d = c, c_new, d, d_new
+    return d
 
 
 def gegenbauer_at_one(params: GegenbauerParams, n: int) -> float:
@@ -270,15 +283,17 @@ def transform(f, params: GegenbauerParams, n_max: int, order: int = 256) -> "Ser
 
     Smooth kernels use the Gauss-Gegenbauer rule directly; kernels that
     declare breakpoints are integrated by Gauss-Legendre panels in theta
-    split at the breakpoints (`order` nodes per panel).
+    split at the breakpoints.  Either rule takes max(order, n_max + 1) nodes
+    (per panel), so no coefficient up to n_max aliases.
     """
     if n_max < 0:
         raise ValueError("truncation must be nonnegative")
+    order = max(order, n_max + 1)
     breakpoints = tuple(getattr(f, "breakpoints", ()))
     if breakpoints:
         x, wq = theta_rule(breakpoints, params.lam, order)
     else:
-        rule = quadrature_rule(params, max(order, n_max + 1))
+        rule = quadrature_rule(params, order)
         x, wq = rule.nodes, rule.weights
     fx = np.asarray(f(x), dtype=float)
     if not np.all(np.isfinite(fx)):
@@ -326,6 +341,7 @@ def _cesaro_factors(n_max: int, delta: float) -> np.ndarray:
     return np.exp(log_a[::-1] - log_a[-1])
 
 
+@on_interval
 def series_eval(s: SeriesCoeffs, x, cesaro: float | None = None) -> np.ndarray | float:
     """Partial sum sum_{n<=N} w_lam(n) fhat(n) W^lam_n(x).
 
@@ -333,12 +349,8 @@ def series_eval(s: SeriesCoeffs, x, cesaro: float | None = None) -> np.ndarray |
     purely as a de-Gibbs device for rough kernels.  Accepts arrays of any
     shape (Gram matrices included).
     """
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(clamp_x(x))
-    shape = x.shape
     table = _w_table(s.params, s.truncation, x.ravel())
     terms = s.weights() * s.coeffs
     if cesaro is not None:
         terms = terms * _cesaro_factors(s.truncation, cesaro)
-    out = (terms @ table).reshape(shape)
-    return float(out.ravel()[0]) if scalar else out
+    return (terms @ table).reshape(x.shape)

@@ -114,7 +114,7 @@ def evaluate_interpolant(itp: Interpolant, x) -> float | np.ndarray:
     norms = np.linalg.norm(q, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise ValueError("query points must be unit vectors within 1e-12")
-    dots = np.asarray(clamp_x(q @ itp.centers.points.T))
+    dots = clamp_x(q @ itp.centers.points.T)
     # snap last-ulp coincidences onto the pole; cusped profiles would
     # otherwise turn an O(eps) dot error into an O(sqrt(eps)) kernel error
     dots[dots > 1.0 - 4e-15] = 1.0

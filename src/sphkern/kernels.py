@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DegenerateCapError
-from .gegenbauer import GegenbauerParams, SeriesCoeffs, clamp_x, series_eval
+from .gegenbauer import GegenbauerParams, SeriesCoeffs, on_interval, series_eval
 from .zonal import ZonalKernel
 
 __all__ = [
@@ -75,14 +75,13 @@ class TruncatedPower:
         )
 
 
+@on_interval
 def eval_truncated_power(k: TruncatedPower, x):
     """(t - arccos x)^m_+ for a TruncatedPower k."""
-    scalar = np.isscalar(x)
-    theta = np.arccos(np.atleast_1d(clamp_x(x)))
-    out = np.maximum(k.t - theta, 0.0) ** k.m
-    return float(out[0]) if scalar else out
+    return np.maximum(k.t - np.arccos(x), 0.0) ** k.m
 
 
+@on_interval
 def eval_montee_closed_form(which: str, t: float, x):
     """Evaluate one of the printed montee closed forms (oracle route).
 
@@ -92,8 +91,7 @@ def eval_montee_closed_form(which: str, t: float, x):
     if which not in _CLOSED_FORM_KEYS:
         raise ValueError(f"unknown family tag {which!r}; expected one of {CLOSED_FORM_TAGS}")
     _check_support_angle(t)
-    scalar = np.isscalar(x)
-    theta = np.arccos(np.atleast_1d(clamp_x(x)))
+    theta = np.arccos(x)
     u = t - theta
     ct, st = np.cos(theta), np.sin(theta)
     if which == "If2":
@@ -124,8 +122,7 @@ def eval_montee_closed_form(which: str, t: float, x):
             + ct * b3
             + (b2 * u**4 + b1 * u**2 + b0)
         )
-    out = np.where(theta < t, val, 0.0)
-    return float(out[0]) if scalar else out
+    return np.where(theta < t, val, 0.0)
 
 
 def _montee_recurrence_theta(m: int, t: float, theta: np.ndarray) -> np.ndarray:
@@ -144,6 +141,7 @@ def _montee_recurrence_theta(m: int, t: float, theta: np.ndarray) -> np.ndarray:
     )
 
 
+@on_interval
 def eval_montee_recurrence(m: int, t: float, x, k: int = 1):
     """Single montee I f_m via the double integration-by-parts recurrence.
 
@@ -155,10 +153,7 @@ def eval_montee_recurrence(m: int, t: float, x, k: int = 1):
     if k != 1:
         raise ValueError("the recurrence evaluates a single montee; use MonteeIterate for k > 1")
     _check_support_angle(t)
-    scalar = np.isscalar(x)
-    theta = np.arccos(np.atleast_1d(clamp_x(x)))
-    out = _montee_recurrence_theta(m, t, theta)
-    return float(out[0]) if scalar else out
+    return _montee_recurrence_theta(m, t, np.arccos(x))
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +312,11 @@ class MonteeIterate:
             descriptor={"family": "montee", "m": m, "k": k, "t": t},
         )
 
+    @on_interval
     def __call__(self, x):
         m, t = self.base.m, self.base.t
-        scalar = np.isscalar(x)
-        theta = np.arccos(np.atleast_1d(clamp_x(x)))
-        out = np.where(theta < t, _montee_terms(m, t, self.k)(theta, t), 0.0)
-        return float(out[0]) if scalar else out
+        theta = np.arccos(x)
+        return np.where(theta < t, _montee_terms(m, t, self.k)(theta, t), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +421,10 @@ def _half_angle_tan(x: np.ndarray) -> np.ndarray:
     return out
 
 
+@on_interval
 def eval_cap_kernel(d: int, s: float, x):
     """N_d(x): zero for x <= cos(2s), exactly 1 at x = 1."""
     coeffs = cap_kernel_coefficients(d, s)
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(clamp_x(x))
     out = np.zeros_like(x)
     edge = math.cos(2.0 * s)
     idx = x > edge
@@ -447,7 +440,7 @@ def eval_cap_kernel(d: int, s: float, x):
         if d >= 9:
             poly = poly + coeffs.h / v**3
         out[idx] = 1.0 + coeffs.b * np.arccos(xi) + q * poly
-    return float(out[0]) if scalar else out
+    return out
 
 
 @dataclass(frozen=True)

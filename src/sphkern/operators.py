@@ -24,6 +24,7 @@ from .gegenbauer import (
     SeriesCoeffs,
     eval_gegenbauer,
     eval_gegenbauer_derivative,
+    on_interval,
     transform,
     weight_w,
 )
@@ -99,10 +100,9 @@ class OperatorImage:
     evaluator: Callable
     flag_fn: Callable | None = None
 
+    @on_interval
     def __call__(self, x):
-        scalar = np.isscalar(x)
-        out = np.asarray(self.evaluator(np.atleast_1d(np.asarray(x, dtype=float))), dtype=float)
-        return float(out[0]) if scalar else out
+        return np.asarray(self.evaluator(x), dtype=float)
 
     def value_and_flag(self, x: float):
         """Value at scalar x plus True when it came from a one-sided stencil."""
@@ -113,7 +113,7 @@ class OperatorImage:
     def as_kernel(self) -> ZonalKernel:
         derivative = self.source if self.op == "montee" else None
         return ZonalKernel(
-            fn=lambda xs: self.evaluator(np.asarray(xs, dtype=float)),
+            fn=self.evaluator,
             name=f"{self.op}({self.source.name})",
             breakpoints=self.breakpoints,
             derivative=derivative,
@@ -151,13 +151,12 @@ def descente_numeric(f: ZonalKernel, tol: float = 1e-8) -> OperatorImage:
     one-sided stencil at registered breakpoints and at the interval ends.
     """
     if f.derivative is not None:
-        g = f.derivative
         return OperatorImage(
             source=f,
             op="descente",
             provenance="analytic",
             breakpoints=f.breakpoints,
-            evaluator=lambda xs: np.asarray(g(xs), dtype=float),
+            evaluator=f.derivative,
         )
 
     bps = np.asarray(sorted(set(f.interior_breakpoints())), dtype=float)
@@ -177,7 +176,7 @@ def descente_numeric(f: ZonalKernel, tol: float = 1e-8) -> OperatorImage:
         return val, False
 
     def eval_array(xs: np.ndarray) -> np.ndarray:
-        return np.array([point(float(x))[0] for x in xs])
+        return np.array([point(float(x))[0] for x in xs.flat]).reshape(xs.shape)
 
     return OperatorImage(
         source=f,

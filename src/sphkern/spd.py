@@ -48,11 +48,8 @@ class PointSet:
         norms = np.linalg.norm(pts, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("all points must be unit vectors within 1e-12")
-        if len(pts) > 1:
-            gram = np.clip(pts @ pts.T, -1.0, 1.0)
-            np.fill_diagonal(gram, -1.0)
-            if np.max(gram) >= 1.0 - 1e-14:
-                raise ValueError("point set contains (numerically) coincident points")
+        if len(pts) > 1 and _max_offdiag_cos(pts) >= 1.0 - 1e-14:
+            raise ValueError("point set contains (numerically) coincident points")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -60,9 +57,14 @@ class PointSet:
     def min_geodesic_separation(self) -> float:
         if len(self) < 2:
             return float(np.pi)
-        gram = np.clip(self.points @ self.points.T, -1.0, 1.0)
-        np.fill_diagonal(gram, -1.0)
-        return float(np.arccos(np.max(gram)))
+        return float(np.arccos(_max_offdiag_cos(self.points)))
+
+
+def _max_offdiag_cos(pts: np.ndarray) -> float:
+    """Largest x_i . x_j over i != j (n >= 2), capped at 1; one n x n product."""
+    gram = pts @ pts.T
+    np.fill_diagonal(gram, -1.0)
+    return min(float(np.max(gram)), 1.0)
 
 
 def generate_points(d: int, n: int, scheme: str = "random_seeded", seed: int = 0) -> PointSet:
@@ -223,7 +225,7 @@ def gram_matrix(f: ZonalKernel, pts: PointSet) -> np.ndarray:
     x = 1 (every compactly supported family here) would otherwise amplify
     the last-ulp dot error to ~1e-8.
     """
-    gram = np.asarray(clamp_x(pts.points @ pts.points.T))
+    gram = clamp_x(pts.points @ pts.points.T)
     np.fill_diagonal(gram, 1.0)
     m = np.asarray(f(gram), dtype=float)
     return 0.5 * (m + m.T)

@@ -2,6 +2,8 @@
 
 A zonal kernel on S^d is represented by its profile f on [-1, 1]; the kernel
 value between points x, y on the sphere is f(x . y) = f(cos geodesic).
+Calling a kernel applies the package's x rule (gegenbauer.on_interval), so
+``fn`` always receives a clamped float array of at least one dimension.
 
 Kernels carry structural metadata used throughout the package:
 
@@ -27,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gegenbauer import clamp_x, eval_gegenbauer, gegenbauer_at_one
+from .gegenbauer import eval_gegenbauer, gegenbauer_at_one, on_interval
 
 __all__ = ["ZonalKernel", "constant_kernel", "zero_kernel", "gegenbauer_kernel"]
 
@@ -43,10 +45,9 @@ class ZonalKernel:
     antiderivative_fn: Optional[Callable[[], "ZonalKernel"]] = field(default=None, repr=False)
     descriptor: Optional[dict] = None
 
+    @on_interval
     def __call__(self, x):
-        scalar = np.isscalar(x)
-        out = np.asarray(self.fn(np.atleast_1d(clamp_x(x))), dtype=float)
-        return float(out[0]) if scalar else out
+        return np.asarray(self.fn(x), dtype=float)
 
     def interior_breakpoints(self) -> tuple:
         return tuple(b for b in self.breakpoints if -1.0 < b < 1.0)

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from sphkern.convolution import cap_indicator, cap_montee_selfconv0_closed, conv0_kernel
 from sphkern.errors import ResourceLimitError
 from sphkern.gegenbauer import (
     GegenbauerParams,
     SeriesCoeffs,
     clamp_x,
     eval_gegenbauer,
+    eval_gegenbauer_derivative,
     fourier_coeff,
     gegenbauer_at_one,
     moment,
@@ -23,8 +25,16 @@ from sphkern.gegenbauer import (
     transform,
     weight_w,
 )
-from sphkern.kernels import TruncatedPower
-from sphkern.zonal import constant_kernel, gegenbauer_kernel
+from sphkern.kernels import (
+    MonteeIterate,
+    TruncatedPower,
+    eval_cap_kernel,
+    eval_montee_closed_form,
+    eval_montee_recurrence,
+    eval_truncated_power,
+)
+from sphkern.operators import descente_numeric, montee_numeric
+from sphkern.zonal import ZonalKernel, constant_kernel, gegenbauer_kernel
 
 P0 = GegenbauerParams(0.0)
 P_HALF = GegenbauerParams(0.5)
@@ -223,6 +233,14 @@ class TestTransform:
             expected = np.diag([1.0 / weight_w(p, n) for n in range(13)])
             assert np.max(np.abs(gram - expected)) < 1e-9
 
+    def test_breakpoint_panels_take_n_max_plus_one_nodes(self):
+        # f_2 declares breakpoints, so it runs on theta panels; 32 nodes per
+        # panel used to alias every coefficient past the panel exactness
+        f2 = TruncatedPower(2, math.pi / 2).as_kernel()
+        low = transform(f2, P1, 200, order=32).coeffs
+        high = transform(f2, P1, 200, order=400).coeffs
+        assert np.max(np.abs(low - high)) <= 1e-13
+
     def test_non_finite_samples_raise(self):
         from sphkern.errors import EvaluationError
         from sphkern.zonal import ZonalKernel
@@ -289,3 +307,78 @@ def test_params_validation():
 @given(st.floats(min_value=-1.0 - 1e-12, max_value=1.0 + 1e-12))
 def test_clamp_keeps_interval(x):
     assert -1.0 <= float(clamp_x(x)) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the x contract shared by every zonal-profile evaluator (on_interval)
+
+_F2 = TruncatedPower(2, 1.0)
+EVALUATORS = {
+    "eval_gegenbauer": lambda x: eval_gegenbauer(P1, 3, x),
+    "eval_gegenbauer_derivative": lambda x: eval_gegenbauer_derivative(P_HALF, 4, x),
+    "series_eval": lambda x: series_eval(SeriesCoeffs(P1, np.array([1.0, 0.5, 0.25]), 2), x),
+    "eval_truncated_power": lambda x: eval_truncated_power(_F2, x),
+    "eval_montee_closed_form": lambda x: eval_montee_closed_form("I2f4", 1.0, x),
+    "eval_montee_recurrence": lambda x: eval_montee_recurrence(3, 1.0, x),
+    "MonteeIterate": lambda x: MonteeIterate(TruncatedPower(3, 1.0), 2)(x),
+    "eval_cap_kernel": lambda x: eval_cap_kernel(3, 0.5, x),
+    "cap_montee_selfconv0_closed": lambda x: cap_montee_selfconv0_closed(0.5, x),
+    # np.arccos warns (an error under the suite's filter) on unclamped input
+    "ZonalKernel": ZonalKernel(fn=np.arccos),
+    "OperatorImage": montee_numeric(_F2.as_kernel()),
+    # per-point bodies: a kernel fn and an image evaluator that loop over x
+    "conv0_kernel": conv0_kernel(cap_indicator(0.5), cap_indicator(0.5), order=16),
+    "descente_numeric": descente_numeric(_F2.as_kernel()),
+}
+XS = np.array([-0.9, -0.3, 0.2, 0.55, 0.8, 0.95])
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+class TestOnInterval:
+    def test_scalar_gives_python_float(self, name):
+        assert type(EVALUATORS[name](0.55)) is float
+
+    def test_arrays_keep_their_shape(self, name):
+        flat = EVALUATORS[name](XS)
+        square = EVALUATORS[name](XS.reshape(2, 3))
+        assert flat.shape == (6,) and square.shape == (2, 3)
+        assert np.array_equal(square, flat.reshape(2, 3))
+
+    def test_caller_array_not_modified(self, name):
+        x = np.array([-1.0 - 5e-13, 0.2, 1.0, 1.0 + 5e-13])
+        before = x.copy()
+        EVALUATORS[name](x)
+        assert np.array_equal(x, before)
+
+    def test_slack_snaps_onto_the_endpoint(self, name):
+        ev = EVALUATORS[name]
+        assert ev(1.0 + 5e-13) == ev(1.0)
+        assert ev(-1.0 - 5e-13) == ev(-1.0)
+
+    def test_beyond_slack_raises(self, name):
+        with pytest.raises(ValueError, match="by more than 1e-12"):
+            EVALUATORS[name](1.0 + 1e-9)
+        with pytest.raises(ValueError, match="by more than 1e-12"):
+            EVALUATORS[name](np.array([0.0, -1.0 - 1e-9]))
+
+
+class TestClampX:
+    def test_in_range_input_is_returned_uncopied(self):
+        x = np.linspace(-1.0, 1.0, 16)
+        assert clamp_x(x) is x
+
+    def test_slack_band_is_clipped_into_a_copy(self):
+        x = np.array([1.0 + 5e-13, 0.5, -1.0 - 5e-13])
+        before = x.copy()
+        out = clamp_x(x)
+        assert not np.shares_memory(out, x)
+        assert np.array_equal(out, [1.0, 0.5, -1.0])
+        assert np.array_equal(x, before)
+
+    def test_empty_input(self):
+        assert clamp_x(np.array([])).shape == (0,)
+        assert clamp_x(np.empty((0, 3))).shape == (0, 3)
+
+    def test_error_message(self):
+        with pytest.raises(ValueError, match=r"argument outside \[-1, 1\] by more than 1e-12"):
+            clamp_x([0.0, 1.0 + 2e-12])

@@ -190,3 +190,17 @@ class TestPointSet:
     def test_separation_of_antipodes(self):
         pts = PointSet(d=1, points=np.array([[0.0, 1.0], [0.0, -1.0]]))
         assert pts.min_geodesic_separation() == pytest.approx(math.pi)
+
+    def test_separation_matches_the_clipped_gram(self):
+        pts = generate_points(2, 400, scheme="fibonacci_s2")
+        gram = np.clip(pts.points @ pts.points.T, -1.0, 1.0)
+        np.fill_diagonal(gram, -1.0)
+        assert pts.min_geodesic_separation() == float(np.arccos(np.max(gram)))
+
+    def test_coincidence_threshold(self):
+        def pair(angle):
+            return np.array([[0.0, 0.0, 1.0], [math.sin(angle), 0.0, math.cos(angle)]])
+
+        with pytest.raises(ValueError, match="coincident"):
+            PointSet(d=2, points=pair(1e-8))  # cos = 1 - 5e-17
+        assert PointSet(d=2, points=pair(1e-6)).min_geodesic_separation() == pytest.approx(1e-6, rel=1e-3)
