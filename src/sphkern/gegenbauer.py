@@ -53,12 +53,13 @@ def clamp_x(x):
     """Snap values within 1e-12 of [-1, 1] back onto the interval.
 
     Dot products of unit vectors routinely land a few ulp outside; values
-    beyond the slack raise ValueError.  A float array already inside [-1, 1]
-    is returned as is, and only input in the slack band is clipped, as a copy.
+    beyond the slack, and NaN, raise ValueError.  A float array already
+    inside [-1, 1] is returned as is, and only input in the slack band is
+    clipped, as a copy.
     """
     x = np.asarray(x, dtype=float)
     lo, hi = x.min(initial=1.0), x.max(initial=-1.0)  # an empty x is in range
-    if lo < -1.0 - X_CLAMP_SLACK or hi > 1.0 + X_CLAMP_SLACK:
+    if not (lo >= -1.0 - X_CLAMP_SLACK and hi <= 1.0 + X_CLAMP_SLACK):  # NaN fails too
         raise ValueError("argument outside [-1, 1] by more than 1e-12")
     return np.clip(x, -1.0, 1.0) if lo < -1.0 or hi > 1.0 else x
 

@@ -25,6 +25,7 @@ from .zonal import ZonalKernel
 __all__ = ["Interpolant", "solve_interpolation", "evaluate_interpolant"]
 
 _REFINEMENT_ROUNDS = 3
+_QUERY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def solve_interpolation(
 def evaluate_interpolant(itp: Interpolant, x) -> float | np.ndarray:
     """s(x) = sum_j c_j g(theta(x, x_j)) at one unit vector or a stack of them.
 
-    Non-unit query points raise; there is no silent renormalization.
+    Non-unit (or NaN) query points raise; there is no silent renormalization.
     """
     q = np.asarray(x, dtype=float)
     single = q.ndim == 1
@@ -112,11 +113,14 @@ def evaluate_interpolant(itp: Interpolant, x) -> float | np.ndarray:
     if q.shape[1] != itp.centers.d + 1:
         raise ValueError(f"query points must live in R^{itp.centers.d + 1}")
     norms = np.linalg.norm(q, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-12):
+    if not np.all(np.abs(norms - 1.0) <= 1e-12):
         raise ValueError("query points must be unit vectors within 1e-12")
-    dots = clamp_x(q @ itp.centers.points.T)
-    # snap last-ulp coincidences onto the pole; cusped profiles would
-    # otherwise turn an O(eps) dot error into an O(sqrt(eps)) kernel error
-    dots[dots > 1.0 - 4e-15] = 1.0
-    vals = np.asarray(itp.kernel(dots)) @ itp.coefficients
+    vals = np.empty(len(q))
+    # query blocks bound the dots and every kernel temporary at block x centers
+    for start in range(0, len(q), _QUERY_BLOCK):
+        dots = clamp_x(q[start : start + _QUERY_BLOCK] @ itp.centers.points.T)
+        # snap last-ulp coincidences onto the pole; cusped profiles would
+        # otherwise turn an O(eps) dot error into an O(sqrt(eps)) kernel error
+        dots[dots > 1.0 - 4e-15] = 1.0
+        vals[start : start + _QUERY_BLOCK] = np.asarray(itp.kernel(dots)) @ itp.coefficients
     return float(vals[0]) if single else vals

@@ -124,9 +124,10 @@ def montee_numeric(f: ZonalKernel, tol: float = 1e-10) -> OperatorImage:
     """Cumulative integral (I f)(x) = int_{-1}^{x} f by adaptive quadrature.
 
     The integration runs in x-space directly, with panels split at the
-    kernel's registered breakpoints; per-panel Gauss refinement keeps the
-    absolute error below tol (AccuracyError otherwise, carrying the achieved
-    bound).  The image at x = -1 is exactly 0.
+    kernel's registered breakpoints; Gauss refinement of batched panels, one
+    call of f per batch, keeps the absolute error below tol (AccuracyError,
+    carrying the achieved bound, after 40 bisections).  The image at x = -1
+    is exactly 0.
     """
     bps = f.interior_breakpoints()
 

@@ -361,6 +361,15 @@ class TestOnInterval:
         with pytest.raises(ValueError, match="by more than 1e-12"):
             EVALUATORS[name](np.array([0.0, -1.0 - 1e-9]))
 
+    def test_nan_raises(self, name):
+        with pytest.raises(ValueError, match="by more than 1e-12"):
+            EVALUATORS[name](math.nan)
+        with pytest.raises(ValueError, match="by more than 1e-12"):
+            EVALUATORS[name](np.array([0.2, math.nan, 0.5]))
+
+    def test_empty_input_gives_empty_output(self, name):
+        assert EVALUATORS[name](np.array([])).shape == (0,)
+
 
 class TestClampX:
     def test_in_range_input_is_returned_uncopied(self):
@@ -382,3 +391,8 @@ class TestClampX:
     def test_error_message(self):
         with pytest.raises(ValueError, match=r"argument outside \[-1, 1\] by more than 1e-12"):
             clamp_x([0.0, 1.0 + 2e-12])
+
+    @pytest.mark.parametrize("x", [math.nan, [0.0, math.nan], [[1.0 + 5e-13, math.nan]]])
+    def test_nan_raises(self, x):
+        with pytest.raises(ValueError, match=r"argument outside \[-1, 1\] by more than 1e-12"):
+            clamp_x(x)

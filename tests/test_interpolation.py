@@ -77,6 +77,31 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_interpolant(itp, np.array([0.0, 0.0, 1.1]))
 
+    def test_nan_query_rejected(self):
+        pts = generate_points(2, 5, scheme="fibonacci_s2")
+        itp = solve_interpolation(pts, np.ones(5), N3)
+        with pytest.raises(ValueError):
+            evaluate_interpolant(itp, np.array([0.0, math.nan, 1.0]))
+        q = generate_points(2, 3000, scheme="random_seeded", seed=4).points.copy()
+        q[2100] = math.nan  # in the third query block
+        with pytest.raises(ValueError):
+            evaluate_interpolant(itp, q)
+
+    def test_query_blocks_match_per_row_sums(self):
+        # 2500 queries: two full blocks of 1024 and a partial one
+        pts = generate_points(2, 200, scheme="fibonacci_s2")
+        itp = solve_interpolation(pts, harmonic(pts.points), N3)
+        q = generate_points(2, 2500, scheme="random_seeded", seed=8).points
+        out = evaluate_interpolant(itp, q)
+        direct = []
+        for row in q:
+            dots = np.clip(pts.points @ row, -1.0, 1.0)
+            dots[dots > 1.0 - 4e-15] = 1.0
+            direct.append(sum(c * g for c, g in zip(itp.coefficients, N3(dots))))
+        assert out.shape == (2500,)
+        assert np.max(np.abs(out - direct)) <= 1e-15 * np.sum(np.abs(itp.coefficients))
+        assert type(evaluate_interpolant(itp, q[2499])) is float
+
     def test_convergence_trend(self):
         # refining 25 -> 100 centers shrinks the grid error for a smooth target
         grid = generate_points(2, 200, scheme="random_seeded", seed=42)

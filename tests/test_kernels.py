@@ -134,14 +134,13 @@ class TestMonteeIterate:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_matches_numeric_montee_of_previous_iterate(self, m, k, t):
         # every (m, k) comes from the exact montee algebra; one numeric
-        # montee of iterate k - 1 is the independent oracle.  Its error bound
-        # sits a decade under the gate; at 1e-12 the adaptive rule chases
-        # roundoff on the large m = 8 iterates for tens of seconds.
+        # montee of iterate k - 1 is the independent oracle, its error bound
+        # two decades under the gate.
         base = TruncatedPower(m, t)
         kernel = MonteeIterate(base, k).as_kernel()
         previous = base.as_kernel() if k == 1 else MonteeIterate(base, k - 1).as_kernel()
         grid = np.linspace(-1.0, 1.0, 1001)
-        oracle = montee_numeric(previous, tol=1e-11)
+        oracle = montee_numeric(previous, tol=1e-12)
         assert np.max(np.abs(kernel(grid) - oracle(grid))) <= 1e-10
         assert np.array_equal(kernel.derivative(grid), previous(grid))
         assert kernel.antiderivative() is not None
