@@ -101,15 +101,23 @@ def cap_indicator(c: float) -> ZonalKernel:
 # *_0 on the circle
 
 
-def _circle_conv(fac_a, kinks_a, fac_b, kinks_b, theta: float, order: int) -> float:
+def _circle_conv(fac_a, kinks_a, fac_b, kinks_b, theta, order: int):
     """(1/2) int fac_a(theta - t) fac_b(t) dt with panel splits at all kinks.
 
-    The factors are functions of the angle; fac_a's kink angles shift by theta.
+    The factors are functions of the angle; fac_a's kink angles shift by
+    theta.  A scalar theta gives a float from one 1-D circle rule; a 1-D
+    array of theta gives one row-wise rule per entry, its theta-dependent
+    kinks as columns, and each factor is called once for all rows.
     """
-    kinks = [v for u in kinks_b for v in (u, -u)]
-    kinks += [v for u in kinks_a for v in (theta - u, theta + u)]
-    t, w = circle_rule(kinks, order)
-    return 0.5 * float(w @ (fac_a(theta - t) * fac_b(t)))
+    theta = np.asarray(theta, dtype=float)
+    # kink columns theta * 0 + (+-u_b) and theta * 1 + (-+u_a), both exact
+    slope = np.array([0.0] * (2 * len(kinks_b)) + [1.0] * (2 * len(kinks_a)))
+    offset = np.array([v for u in kinks_b for v in (u, -u)] + [v for u in kinks_a for v in (-u, u)])
+    t, w = circle_rule(theta[..., None] * slope + offset, order)
+    vals = fac_a(theta[..., None] - t) * fac_b(t)
+    if theta.ndim == 0:
+        return 0.5 * float(w @ vals)
+    return 0.5 * np.matmul(w[:, None, :], vals[:, :, None])[:, 0, 0]
 
 
 def _on_circle(kernel):
@@ -144,13 +152,33 @@ def conv_kink_abscissae(F, G) -> tuple:
     return tuple(sorted(math.cos(v) for v in angles))
 
 
+#: theta rows per stacked circle integral in conv0_kernel; bounds the node
+#: arrays (rows x panels x order) whatever the number of x
+_THETA_BLOCK = 64
+
+
 def conv0_kernel(F, G, order: int = 64) -> ZonalKernel:
-    """F *_0 G wrapped as a kernel (used for nested convolutions)."""
-    return ZonalKernel(
-        fn=lambda xs: np.array([conv0(F, G, math.acos(x), order) for x in xs.flat]).reshape(xs.shape),
-        name=f"({F.name} *0 {G.name})",
-        breakpoints=conv_kink_abscissae(F, G),
-    )
+    """F *_0 G wrapped as a kernel (used for nested convolutions).
+
+    Its x go in blocks of _THETA_BLOCK angles theta = arccos x, each block
+    one stacked circle integral: one row-wise circle rule, with the
+    theta-dependent kinks theta +- u of F as per-row columns, and one call
+    of each factor for the whole block.  Each row is the circle rule conv0
+    uses at that theta, padded with zero-width panels, so the values agree
+    with conv0 to rounding.
+    """
+    fac_f, kinks_f = _on_circle(F), kink_angles(F)
+    fac_g, kinks_g = _on_circle(G), kink_angles(G)
+
+    def fn(xs: np.ndarray) -> np.ndarray:
+        theta = np.arccos(xs.ravel())
+        out = np.empty(theta.size)
+        for lo in range(0, theta.size, _THETA_BLOCK):
+            block = theta[lo : lo + _THETA_BLOCK]
+            out[lo : lo + _THETA_BLOCK] = _circle_conv(fac_f, kinks_f, fac_g, kinks_g, block, order)
+        return out.reshape(xs.shape)
+
+    return ZonalKernel(fn=fn, name=f"({F.name} *0 {G.name})", breakpoints=conv_kink_abscissae(F, G))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +452,8 @@ def conv_property_check(f, g, h, params: GegenbauerParams, order: int = 96, trun
         thetas = np.linspace(0.15, math.pi - 0.15, 9)
         fg = conv0_kernel(f, g, order)
         gf = conv0_kernel(g, f, order)
-        report["commutativity"] = float(max(abs(fg(math.cos(t)) - gf(math.cos(t))) for t in thetas))
+        xs = np.cos(thetas)
+        report["commutativity"] = float(np.max(np.abs(fg(xs) - gf(xs))))
         gh = conv0_kernel(g, h, order)
         assoc = [abs(conv0(fg, h, t, order) - conv0(f, gh, t, order)) for t in thetas[::3]]
         report["associativity"] = float(max(assoc))

@@ -5,7 +5,11 @@ smoothness while stepping the sphere dimension down by two; descente
 differentiates ((D f)(x) = f'(x)) and steps it up by two.  Both are provided
 numerically, so they can serve as oracles against closed forms, together
 with exact identities on the Gegenbauer family and the coefficient-level
-derivative map.
+derivative map.  Both take arrays of x in batches: the montee refines
+batches of panels with one kernel call each (quadrature.cumulative_integral),
+and the descente runs one Ridders tableau for all points, one kernel call
+per column, with flagged one-sided stencils at and near the guards
+(breakpoints and x = +-1).
 
 All operations are pure; OperatorImage captures immutable sources and is
 safe for concurrent evaluation.
@@ -22,6 +26,7 @@ import numpy as np
 from .gegenbauer import (
     GegenbauerParams,
     SeriesCoeffs,
+    clamp_x,
     eval_gegenbauer,
     eval_gegenbauer_derivative,
     on_interval,
@@ -49,35 +54,62 @@ def mu(params: GegenbauerParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Ridders-style numerical differentiation
+# Ridders-style numerical differentiation, batched over points
+
+_RIDDERS_STEPS = 10
+_RIDDERS_SHRINK = 1.4
 
 
-def _ridders_central(f, x: float, h0: float, steps: int = 10, shrink: float = 1.4):
-    a = np.empty((steps, steps))
+def _ridders_central(f, x: np.ndarray, h0: np.ndarray) -> np.ndarray:
+    """Ridders' extrapolated central difference of f at every x in a 1-D array.
+
+    Column i of the Neville tableau differences with each point's step
+    h0 / 1.4^i, and the +-h pairs of every point still running share one
+    call of f.  Each point keeps the entry of smallest error estimate and
+    stops once its diagonal grows past twice that error; the stopping is a
+    mask on the points, and only the previous column is kept.
+    """
+
+    def column(xs: np.ndarray, h: np.ndarray) -> np.ndarray:
+        fx = f(np.concatenate([xs + h, xs - h]))
+        return (fx[: xs.size] - fx[xs.size :]) / (2.0 * h)
+
+    fac0 = _RIDDERS_SHRINK * _RIDDERS_SHRINK
+    live = np.arange(x.size)
+    prev = column(x, h0)[None]
+    ans, err = prev[0].copy(), np.full(x.size, math.inf)
     hh = h0
-    a[0, 0] = (f(x + hh) - f(x - hh)) / (2.0 * hh)
-    ans, err = a[0, 0], math.inf
-    for i in range(1, steps):
-        hh /= shrink
-        a[0, i] = (f(x + hh) - f(x - hh)) / (2.0 * hh)
-        fac = shrink * shrink
-        for j in range(1, i + 1):
-            a[j, i] = (a[j - 1, i] * fac - a[j - 1, i - 1]) / (fac - 1.0)
-            fac *= shrink * shrink
-            errt = max(abs(a[j, i] - a[j - 1, i]), abs(a[j, i] - a[j - 1, i - 1]))
-            if errt <= err:
-                err, ans = errt, a[j, i]
-        if abs(a[i, i] - a[i - 1, i - 1]) >= 2.0 * err:
+    for i in range(1, _RIDDERS_STEPS):
+        if not live.size:
             break
-    return ans, err
+        hh = hh / _RIDDERS_SHRINK
+        cur = np.empty((i + 1, live.size))
+        cur[0] = column(x[live], hh[live])
+        best, best_err = ans[live], err[live]
+        fac = fac0
+        for j in range(1, i + 1):
+            cur[j] = (cur[j - 1] * fac - prev[j - 1]) / (fac - 1.0)
+            fac *= fac0
+            errt = np.maximum(np.abs(cur[j] - cur[j - 1]), np.abs(cur[j] - prev[j - 1]))
+            better = errt <= best_err
+            best, best_err = np.where(better, cur[j], best), np.where(better, errt, best_err)
+        ans[live], err[live] = best, best_err
+        running = ~(np.abs(cur[i] - prev[i - 1]) >= 2.0 * best_err)
+        live, prev = live[running], cur[:, running]
+    return ans
 
 
-def _one_sided(f, x: float, h: float, direction: float) -> float:
-    # 5-point one-sided stencil, Richardson over h and h/2 (O(h^5)).
-    def stencil(step: float) -> float:
-        s = direction * step
-        vals = np.array([f(x + k * s) for k in range(5)])
-        return direction * (-25 * vals[0] + 48 * vals[1] - 36 * vals[2] + 16 * vals[3] - 3 * vals[4]) / (12.0 * step)
+def _one_sided(f, x: np.ndarray, h: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """5-point one-sided stencils at every x, Richardson over h and h/2 (O(h^5)).
+
+    Each step size takes one call of f for all points.
+    """
+    k = np.arange(5.0)[:, None]
+
+    def stencil(step: np.ndarray) -> np.ndarray:
+        pts = x + k * (direction * step)
+        v = f(pts.ravel()).reshape(pts.shape)
+        return direction * (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12.0 * step)
 
     d1 = stencil(h)
     d2 = stencil(0.5 * h)
@@ -90,7 +122,9 @@ class OperatorImage:
 
     provenance is 'analytic' when an exact fast path was available (a kernel
     that records its derivative), 'numeric' otherwise.  ``value_and_flag``
-    exposes whether a one-sided stencil was used at a registered breakpoint.
+    exposes whether a one-sided stencil was used (at or near a registered
+    breakpoint or an end of [-1, 1]); ``flag_fn`` maps an array of x to the
+    values and those flags.
     """
 
     source: ZonalKernel
@@ -105,10 +139,15 @@ class OperatorImage:
         return np.asarray(self.evaluator(x), dtype=float)
 
     def value_and_flag(self, x: float):
-        """Value at scalar x plus True when it came from a one-sided stencil."""
-        if self.flag_fn is not None:
-            return self.flag_fn(float(x))
-        return self(float(x)), False
+        """Value at scalar x plus True when it came from a one-sided stencil.
+
+        A numeric descente image answers through the same batched evaluator
+        as an array call, on a one-element array.
+        """
+        if self.flag_fn is None:
+            return self(float(x)), False
+        value, flag = self.flag_fn(np.atleast_1d(clamp_x(float(x))))
+        return float(value[0]), bool(flag[0])
 
     def as_kernel(self) -> ZonalKernel:
         derivative = self.source if self.op == "montee" else None
@@ -148,8 +187,20 @@ def descente_numeric(f: ZonalKernel, tol: float = 1e-8) -> OperatorImage:
 
     When the kernel records an exact derivative (montee images do) it is
     returned directly with provenance 'analytic'.  Otherwise a Ridders
-    extrapolated central difference is used, switching to a flagged
-    one-sided stencil at registered breakpoints and at the interval ends.
+    extrapolated central difference (10 columns, step h = max(1e-5,
+    1e-2 sqrt(tol)) shrinking by 1.4) is used, batched over all x: one call
+    of f per tableau column, with per-point early stopping as a mask.  The
+    guards are the registered interior breakpoints and x = +-1.  Within 2h
+    of a guard the first central step would have to shrink to half the
+    distance, where roundoff takes over, so the value comes from a flagged
+    5-point one-sided stencil (one call of f per step size) instead,
+    pointed away from the nearest guard.  The exception is an end the
+    kernel lists in its breakpoints (sqrt-type behaviour there): the
+    stencil would reach into that behaviour, so the shrinking central step
+    stays.  At a guard itself (within 1e-12 of a breakpoint, 64 ulp of
+    +-1) the stencil points towards x = 1 below x = 0.5 and towards -1
+    from there on.  A stencil's step is at most 1/16 of the distance to
+    the next guard ahead of it, so it never reaches past that guard.
     """
     if f.derivative is not None:
         return OperatorImage(
@@ -161,31 +212,46 @@ def descente_numeric(f: ZonalKernel, tol: float = 1e-8) -> OperatorImage:
         )
 
     bps = np.asarray(sorted(set(f.interior_breakpoints())), dtype=float)
+    guards = np.concatenate([bps, [-1.0, 1.0]])
+    # an end the kernel registers as a breakpoint has sqrt-type behaviour,
+    # rough on the scale of h from either side: the central steps shrink
+    # towards it instead of stepping away
+    step_away = np.array([True] * bps.size + [-1.0 not in f.breakpoints, 1.0 not in f.breakpoints])
     h_default = max(1e-5, tol ** 0.5 * 1e-2)
 
-    def point(x: float):
-        guards = np.concatenate([bps, [-1.0, 1.0]])
-        dist = np.min(np.abs(guards - x)) if guards.size else math.inf
-        at_break = bps.size and np.min(np.abs(bps - x)) < 1e-12
-        if at_break or dist < 64.0 * np.finfo(float).eps:
-            direction = 1.0 if x < 0.5 else -1.0
-            room = (1.0 - x) if direction > 0 else (x + 1.0)
-            h = min(h_default, room / 16.0)
-            return _one_sided(f, x, h, direction), True
-        h0 = min(h_default, 0.5 * dist)
-        val, _ = _ridders_central(f, x, h0)
-        return val, False
-
-    def eval_array(xs: np.ndarray) -> np.ndarray:
-        return np.array([point(float(x))[0] for x in xs.flat]).reshape(xs.shape)
+    def value_and_flag(xs: np.ndarray):
+        x = xs.ravel()
+        gap = x[:, None] - guards
+        nearest = np.argmin(np.abs(gap), axis=1)
+        offset = gap[np.arange(x.size), nearest]
+        at_guard = (np.abs(offset) < 64.0 * np.finfo(float).eps) | (
+            np.min(np.abs(gap[:, : bps.size]), axis=1, initial=math.inf) < 1e-12
+        )
+        dist = np.abs(offset)
+        flagged = at_guard | ((dist < 2.0 * h_default) & step_away[nearest])
+        out = np.empty(x.size)
+        central = ~flagged
+        if central.any():
+            out[central] = _ridders_central(f, x[central], np.minimum(h_default, 0.5 * dist[central]))
+        if flagged.any():
+            xf = x[flagged]
+            direction = np.where(
+                at_guard[flagged], np.where(xf < 0.5, 1.0, -1.0), np.where(offset[flagged] > 0.0, 1.0, -1.0)
+            )
+            # distance to the next guard the stencil heads for; it reaches
+            # a quarter of the way there at most
+            ahead = -gap[flagged] * direction[:, None]
+            room = np.min(np.where(ahead > 1e-12, ahead, math.inf), axis=1)
+            out[flagged] = _one_sided(f, xf, np.minimum(h_default, room / 16.0), direction)
+        return out.reshape(xs.shape), flagged.reshape(xs.shape)
 
     return OperatorImage(
         source=f,
         op="descente",
         provenance="numeric",
         breakpoints=f.breakpoints,
-        evaluator=eval_array,
-        flag_fn=point,
+        evaluator=lambda xs: value_and_flag(xs)[0],
+        flag_fn=value_and_flag,
     )
 
 

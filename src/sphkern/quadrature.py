@@ -4,7 +4,11 @@ One cached rule per order, one panel builder and two edge policies on it:
 theta panels on [0, pi] split at breakpoints (transform, B_lambda norm) and
 circle panels on [-pi, pi] split at kink angles (*_0 and the hop), plus the
 adaptive cumulative integral behind the numeric montee, which refines
-batches of panels off a last-in-first-out stack.  All pure.
+batches of panels off a last-in-first-out stack.  The panel builder and the
+circle rule also work row-wise: leading axes of their edges or kinks are
+rows, one rule each, which is how *_0 integrates a block of theta at once
+(a circle rule pads rows with zero-width panels to one shape).  A 1-D input
+gives exactly the 1-D rule.  All pure.
 """
 
 from __future__ import annotations
@@ -33,14 +37,18 @@ def kink_angles(kernel) -> list:
 
 
 def panel_rule(edges, order: int):
-    """Nodes and weights of `order`-point GL panels between increasing edges."""
+    """Nodes and weights of `order`-point GL panels between increasing edges.
+
+    Leading axes of `edges` are rows, each with its own panels: edges of
+    shape (..., E) give nodes and weights of shape (..., (E - 1) * order).
+    """
     gl_nodes, gl_weights = gauss_legendre(order)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(0.5 * (hi + lo) + half * gl_nodes)
-        weights.append(half * gl_weights)
-    return np.concatenate(nodes), np.concatenate(weights)
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[..., :-1, None], edges[..., 1:, None]
+    half = 0.5 * (hi - lo)
+    nodes = 0.5 * (hi + lo) + half * gl_nodes
+    flat = edges.shape[:-1] + (-1,)
+    return nodes.reshape(flat), (half * gl_weights).reshape(flat)
 
 
 def theta_rule(breakpoints, lam: float, order: int):
@@ -58,18 +66,27 @@ def theta_rule(breakpoints, lam: float, order: int):
 def circle_rule(kinks, order: int):
     """GL nodes and weights on [-pi, pi] split at the given angles.
 
-    Angles wrap onto the circle (one at +-pi opens both ends); edges closer
-    than 1e-13 merge, and the last panel always ends at +pi.
+    Angles wrap onto the circle, whose ends +-pi are always edges (an angle
+    at +-pi merges into them); edges closer than 1e-13 merge, and the last
+    panel always ends at +pi.  Leading axes
+    of `kinks` are rows, one rule each: there a merged edge stays as a
+    zero-width panel (zero weights), so every row has the same shape.
     """
-    edges = [-math.pi, math.pi]
-    for t in kinks:
-        w = (t + math.pi) % (2.0 * math.pi) - math.pi
-        edges.append(w)
-        if abs(w) > math.pi - 1e-12:
-            edges.append(-math.pi if w > 0 else math.pi)
-    edges = np.array(sorted(edges))
-    edges = edges[np.concatenate([[True], np.diff(edges) > 1e-13])]
-    edges[-1] = math.pi
+    w = (np.asarray(kinks, dtype=float) + math.pi) % (2.0 * math.pi) - math.pi
+    ends = np.empty(w.shape[:-1] + (2,))
+    ends[...] = (-math.pi, math.pi)
+    edges = np.sort(np.concatenate([ends, w], axis=-1), axis=-1)
+    keep = np.empty(edges.shape, dtype=bool)
+    keep[..., 0] = True
+    np.greater(edges[..., 1:] - edges[..., :-1], 1e-13, out=keep[..., 1:])
+    if edges.ndim == 1:
+        edges = edges[keep]
+        edges[-1] = math.pi
+    else:
+        # each merged edge repeats the last kept one before it
+        src = np.maximum.accumulate(np.where(keep, np.arange(edges.shape[-1]), 0), axis=-1)
+        edges = np.take_along_axis(edges, src, axis=-1)
+        edges[src == src[..., -1:]] = math.pi
     return panel_rule(edges, order)
 
 

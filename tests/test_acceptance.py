@@ -226,3 +226,42 @@ def test_verify_command_exits_clean(tmp_path):
     payload = json.loads(out.read_text())
     failing = [c["name"] for c in payload["checks"] if not c["passed"]]
     report("full verification suite", rc == 0 and not failing, f"failing checks: {failing or 'none'}")
+
+
+#: Deviation each `sphkern verify` check reported at commit cba66de, the
+#: last one with per-point descente and per-theta *_0 kernels.  A faster
+#: route may move a deviation, but not by an order of magnitude (ROADMAP
+#: aim 1), so each must stay within 10x of this value.
+VERIFY_BASELINE = {
+    "gegenbauer_orthogonality": 7.550e-15,
+    "gegenbauer_max_at_one": 2.786e-15,
+    "gegenbauer_lambda_zero_limit": 2.000e-06,
+    "quadrature_exactness": 7.723e-16,
+    "identity_D_on_gegenbauer": 5.457e-12,
+    "identity_I_on_gegenbauer": 8.527e-14,
+    "coeff_map_derivative": 2.084e-12,
+    "montee_closed_forms": 1.776e-14,
+    "montee_recurrence": 6.468e-12,
+    "roundtrip_D_of_I": 6.504e-12,
+    "roundtrip_I_of_D": 9.103e-11,
+    "hop_constant": 3.997e-15,
+    "hop_conv_printed_constants": 1.665e-16,
+    "cap_kernel_boundary": 5.684e-13,
+    "cap_selfconv0_closed_form": 3.331e-16,
+    "n3_vs_numeric_oracle": 2.657e-11,
+    "cap_transform": 3.816e-14,
+    "conv_algebra_lambda0": 6.904e-15,
+    "conv_algebra_coeff_space": 3.469e-18,
+    "hop_identity_vs_series": 1.381e-05,
+}
+
+
+def test_verify_baseline_names_every_check():
+    assert sorted(VERIFY_BASELINE) == sorted(CHECKS)
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_BASELINE))
+def test_deviation_keeps_its_order_of_magnitude(name):
+    result = CHECKS[name]()
+    allowed = 10.0 * VERIFY_BASELINE[name]
+    report(f"{name} accuracy", result.deviation <= allowed, f"dev {result.deviation:.3e} (<= {allowed:.3e})")

@@ -23,9 +23,10 @@ from sphkern.convolution import (
     dimension_hop_conv,
     hop_constant,
     _cap_power,
+    _THETA_BLOCK,
 )
 from sphkern.gegenbauer import GegenbauerParams, SeriesCoeffs, series_eval, transform, weight_w
-from sphkern.zonal import constant_kernel, gegenbauer_kernel, zero_kernel
+from sphkern.zonal import ZonalKernel, constant_kernel, gegenbauer_kernel, zero_kernel
 
 P0 = GegenbauerParams(0.0)
 P1 = GegenbauerParams(1.0)
@@ -93,6 +94,48 @@ class TestConv0:
         kinks = conv_kink_abscissae(ig, ig)
         assert math.cos(math.pi / 2) == pytest.approx(min(kinks), abs=1e-15)
         assert 1.0 in kinks
+
+
+class CallCount:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def counted(kernel):
+    fn = CallCount(kernel.fn)
+    return ZonalKernel(fn=fn, breakpoints=kernel.breakpoints), fn
+
+
+U_F, U_G = 0.7, 1.9  # kink angles of the two factors below
+STACK_THETAS = np.concatenate(
+    [
+        [0.0, math.pi, U_F + U_G, U_G - U_F],
+        # theta + U_F within 5e-14 of pi (merging with the end), and past it (wrapping)
+        [math.pi - U_F - 5e-14, math.pi - U_F + 5e-14, 2.9, math.pi - 0.1],
+        np.linspace(0.0, math.pi, 150),
+    ]
+)
+
+
+class TestStackedConv0:
+    @pytest.mark.parametrize("order", [16, 64])
+    def test_matches_per_theta_conv0(self, order):
+        F, G = _cap_power(math.cos(U_F), 1), cap_indicator(math.cos(U_G))
+        xs = np.cos(STACK_THETAS)
+        got = conv0_kernel(F, G, order)(xs)
+        want = np.array([conv0(F, G, t, order) for t in np.arccos(xs)])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_each_factor_called_once_per_block(self):
+        F, f_calls = counted(_cap_power(math.cos(U_F), 1))
+        G, g_calls = counted(_cap_power(math.cos(U_G), 2))
+        n = STACK_THETAS.size
+        conv0_kernel(F, G)(np.cos(STACK_THETAS).reshape(2, -1))
+        assert f_calls.calls == g_calls.calls == -(-n // _THETA_BLOCK)
 
 
 class TestConvLambdaCoeffs:

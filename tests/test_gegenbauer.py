@@ -326,7 +326,7 @@ EVALUATORS = {
     # np.arccos warns (an error under the suite's filter) on unclamped input
     "ZonalKernel": ZonalKernel(fn=np.arccos),
     "OperatorImage": montee_numeric(_F2.as_kernel()),
-    # per-point bodies: a kernel fn and an image evaluator that loop over x
+    # batched bodies: a kernel fn and an image evaluator that flatten x and reshape
     "conv0_kernel": conv0_kernel(cap_indicator(0.5), cap_indicator(0.5), order=16),
     "descente_numeric": descente_numeric(_F2.as_kernel()),
 }

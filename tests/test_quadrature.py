@@ -8,7 +8,7 @@ import pytest
 from sphkern.errors import AccuracyError
 from sphkern.gegenbauer import GegenbauerParams, total_mass
 from sphkern.kernels import MonteeIterate, TruncatedPower
-from sphkern.quadrature import _BATCH_PANELS, circle_rule, cumulative_integral, panel_rule, theta_rule
+from sphkern.quadrature import _BATCH_PANELS, circle_rule, cumulative_integral, gauss_legendre, panel_rule, theta_rule
 
 
 class TestPanelRule:
@@ -47,6 +47,94 @@ class TestCircleRule:
         # |sin t| has kinks at 0 and +-pi; split there the rule is spectral
         t, w = circle_rule([0.0, math.pi], 16)
         assert w @ np.abs(np.sin(t)) == pytest.approx(4.0, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# row-wise rules against the 1-D loops they generalize
+
+
+def loop_panel_rule(edges, order):
+    gl_nodes, gl_weights = gauss_legendre(order)
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        nodes.append(0.5 * (hi + lo) + half * gl_nodes)
+        weights.append(half * gl_weights)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def loop_circle_rule(kinks, order):
+    edges = [-math.pi, math.pi]
+    for t in kinks:
+        w = (t + math.pi) % (2.0 * math.pi) - math.pi
+        edges.append(w)
+        if abs(w) > math.pi - 1e-12:
+            edges.append(-math.pi if w > 0 else math.pi)
+    edges = np.array(sorted(edges))
+    edges = edges[np.concatenate([[True], np.diff(edges) > 1e-13])]
+    edges[-1] = math.pi
+    return loop_panel_rule(edges, order)
+
+
+def kink_rows(rng, n_rows, n_kinks):
+    """Random kink angles, with ties, near-ties and angles at or near +-pi mixed in."""
+    rows = rng.uniform(-4.0, 4.0, (n_rows, n_kinks))
+    special = np.array([math.pi, -math.pi, 3 * math.pi, math.pi - 5e-14, -math.pi + 5e-14, 0.0, 1e-14])
+    pick = rng.random(rows.shape) < 0.3
+    rows[pick] = rng.choice(special, pick.sum())
+    tie = rng.random(rows.shape) < 0.2
+    rows[:, 1:][tie[:, 1:]] = (rows[:, :-1] + rng.choice([0.0, 5e-14, 2e-13], rows.shape)[:, 1:])[tie[:, 1:]]
+    return rows
+
+
+class TestRowWiseRules:
+    @pytest.mark.parametrize("order", [16, 64, 96])
+    def test_1d_panel_rule_is_the_loop(self, order):
+        rng = np.random.default_rng(order)
+        for _ in range(200):
+            edges = np.sort(rng.uniform(-4.0, 4.0, rng.integers(2, 9)))
+            for given in (edges, list(edges)):
+                nodes, weights = panel_rule(given, order)
+                want_nodes, want_weights = loop_panel_rule(edges, order)
+                assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+
+    @pytest.mark.parametrize("order", [8, 64])
+    def test_1d_circle_rule_is_the_loop(self, order):
+        rng = np.random.default_rng(order)
+        for row in kink_rows(rng, 300, 6):
+            for kinks in (row, list(row[:3]), []):
+                t, w = circle_rule(kinks, order)
+                want_t, want_w = loop_circle_rule(kinks, order)
+                assert np.array_equal(t, want_t) and np.array_equal(w, want_w)
+
+    def test_panel_rule_rows(self):
+        rng = np.random.default_rng(1)
+        edges = np.sort(rng.uniform(-1.0, 1.0, (3, 4, 6)), axis=-1)
+        nodes, weights = panel_rule(edges, 16)
+        assert nodes.shape == weights.shape == (3, 4, 5 * 16)
+        for idx in np.ndindex(3, 4):
+            want_nodes, want_weights = panel_rule(edges[idx], 16)
+            assert np.array_equal(nodes[idx], want_nodes) and np.array_equal(weights[idx], want_weights)
+
+    @pytest.mark.parametrize("order", [8, 64])
+    def test_circle_rule_rows_are_padded_1d_rules(self, order):
+        rows = kink_rows(np.random.default_rng(10 + order), 400, 6)
+        t, w = circle_rule(rows, order)
+        assert t.shape == w.shape == (400, 7 * order)
+        for row, t_row, w_row in zip(rows, t, w):
+            panels = w_row.reshape(-1, order)
+            live = panels.any(axis=1)
+            assert np.all(t_row.reshape(-1, order)[~live] == t_row.reshape(-1, order)[~live, :1])
+            want_t, want_w = circle_rule(row, order)
+            assert np.array_equal(t_row.reshape(-1, order)[live].ravel(), want_t)
+            assert np.array_equal(panels[live].ravel(), want_w)
+
+
+    def test_rows_away_from_the_ends_get_one_panel_per_kink(self):
+        rows = np.random.default_rng(3).uniform(-3.0, 3.0, (50, 4))
+        t, w = circle_rule(rows, 8)
+        assert t.shape == w.shape == (50, 5 * 8)
+        assert np.all(w > 0.0)
 
 
 class TestThetaRule:
