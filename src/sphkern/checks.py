@@ -315,10 +315,9 @@ def check_selfconv0_closed_form(tol: float = 1e-10) -> CheckResult:
     worst = 0.0
     for s in _CAP_ANGLES:
         ig = _cap_power(math.cos(s), 1)
-        for theta in np.linspace(0.0, math.pi, 41):
-            got = conv0(ig, ig, float(theta), order=64)
-            want = float(cap_montee_selfconv0_closed(s, math.cos(theta)))
-            worst = max(worst, abs(got - want))
+        thetas = np.linspace(0.0, math.pi, 41)
+        got = conv0(ig, ig, thetas, order=64)
+        worst = max(worst, float(np.max(np.abs(got - cap_montee_selfconv0_closed(s, np.cos(thetas))))))
     return _result("cap_selfconv0_closed_form", worst, tol)
 
 
@@ -366,7 +365,7 @@ def check_hop_identity_series(tol: float = 2e-3) -> CheckResult:
         ghat = transform(g, p1, 60, order=200)
         prod = conv_lambda_coeffs(ghat, ghat)
         xs = np.linspace(-0.95, 0.95, 101)
-        hop = np.array([dimension_hop_conv(g, g, p0, float(x), order=64) for x in xs])
+        hop = dimension_hop_conv(g, g, p0, xs, order=64)
         dev = np.max(np.abs(hop - series_eval(prod, xs)))
         worst = max(worst, float(dev))
     return _result("hop_identity_vs_series", worst, tol)

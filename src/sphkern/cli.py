@@ -157,10 +157,9 @@ def cmd_conv(args) -> int:
     theta = (np.arange(args.grid) + 0.5) * math.pi / args.grid
     xs = np.cos(theta)
     if lam == 0:
-        vals = [conv0(f, g, float(t), order=args.quad_order) for t in theta]
+        vals = conv0(f, g, theta, order=args.quad_order)
     else:
-        base = GegenbauerParams(float(lam - 1))
-        vals = [dimension_hop_conv(f, g, base, float(x), order=args.quad_order) for x in xs]
+        vals = dimension_hop_conv(f, g, GegenbauerParams(float(lam - 1)), xs, order=args.quad_order)
     if args.fmt == "json":
         _emit(args, _rows_to_json([[float(x), float(v)] for x, v in zip(xs, vals)], ("x", "value")))
     else:

@@ -18,8 +18,8 @@ of the convolution are distributed onto the factors under the integral sign
 (each factor's exact antiderivative ladder supplies the derivatives), and
 the x-derivatives are recovered from theta-derivatives by the chain rule
 for x = cos(theta).  At the poles x = +-1, where that chain rule
-degenerates, the x-derivatives are solved from the even theta-derivatives
-at theta = 0 or pi.
+degenerates, the value is the Parseval integral
+int f(t) g(+-t) dOmega_(lam+1)(t) on theta panels instead.
 
 For lambda > 0 the transform side is multiplicative, so *_lambda is also
 realized as entrywise coefficient products; no explicit product kernel is
@@ -39,7 +39,6 @@ from scipy.special import beta, betainc
 from .gegenbauer import (
     GegenbauerParams,
     SeriesCoeffs,
-    clamp_x,
     eval_gegenbauer,
     gegenbauer_at_one,
     on_interval,
@@ -101,37 +100,46 @@ def cap_indicator(c: float) -> ZonalKernel:
 # *_0 on the circle
 
 
-def _circle_conv(fac_a, kinks_a, fac_b, kinks_b, theta, order: int):
+#: theta rows per stacked circle integral; bounds the node arrays
+#: (rows x panels x order) whatever the number of theta
+_THETA_BLOCK = 64
+
+
+def _circle_conv(fac_a, kinks_a, fac_b, kinks_b, theta: np.ndarray, order: int) -> np.ndarray:
     """(1/2) int fac_a(theta - t) fac_b(t) dt with panel splits at all kinks.
 
     The factors are functions of the angle; fac_a's kink angles shift by
-    theta.  A scalar theta gives a float from one 1-D circle rule; a 1-D
-    array of theta gives one row-wise rule per entry, its theta-dependent
-    kinks as columns, and each factor is called once for all rows.
+    theta.  The 1-D array theta goes in blocks of _THETA_BLOCK rows, each
+    one row-wise circle rule with its theta-dependent kinks as columns and
+    one call of each factor; a row does not depend on the rest of its block.
     """
-    theta = np.asarray(theta, dtype=float)
     # kink columns theta * 0 + (+-u_b) and theta * 1 + (-+u_a), both exact
     slope = np.array([0.0] * (2 * len(kinks_b)) + [1.0] * (2 * len(kinks_a)))
     offset = np.array([v for u in kinks_b for v in (u, -u)] + [v for u in kinks_a for v in (-u, u)])
-    t, w = circle_rule(theta[..., None] * slope + offset, order)
-    vals = fac_a(theta[..., None] - t) * fac_b(t)
-    if theta.ndim == 0:
-        return 0.5 * float(w @ vals)
-    return 0.5 * np.matmul(w[:, None, :], vals[:, :, None])[:, 0, 0]
+    out = np.empty(theta.size)
+    for lo in range(0, theta.size, _THETA_BLOCK):
+        block = theta[lo : lo + _THETA_BLOCK, None]
+        t, w = circle_rule(block * slope + offset, order)
+        vals = fac_a(block - t) * fac_b(t)
+        out[lo : lo + _THETA_BLOCK] = 0.5 * np.matmul(w[:, None, :], vals[:, :, None])[:, 0, 0]
+    return out
 
 
 def _on_circle(kernel):
     return lambda u: np.asarray(kernel(np.cos(u)))
 
 
-def conv0(F, G, theta: float, order: int = 64) -> float:
+def conv0(F, G, theta, order: int = 64) -> np.ndarray | float:
     """(F *_0 G)(cos theta) by kink-split panel quadrature.
 
     Kink angles of both factors (breakpoints pulled back through cos, the
     F factor's shifted by theta) bound the panels, which restores spectral
-    convergence for piecewise factors.
+    convergence for piecewise factors.  A scalar theta gives a float, an
+    array of theta an array of its shape.
     """
-    return _circle_conv(_on_circle(F), kink_angles(F), _on_circle(G), kink_angles(G), theta, order)
+    th = np.asarray(theta, dtype=float)
+    out = _circle_conv(_on_circle(F), kink_angles(F), _on_circle(G), kink_angles(G), th.ravel(), order)
+    return float(out[0]) if np.isscalar(theta) else out.reshape(th.shape)
 
 
 def conv_kink_abscissae(F, G) -> tuple:
@@ -152,33 +160,13 @@ def conv_kink_abscissae(F, G) -> tuple:
     return tuple(sorted(math.cos(v) for v in angles))
 
 
-#: theta rows per stacked circle integral in conv0_kernel; bounds the node
-#: arrays (rows x panels x order) whatever the number of x
-_THETA_BLOCK = 64
-
-
 def conv0_kernel(F, G, order: int = 64) -> ZonalKernel:
-    """F *_0 G wrapped as a kernel (used for nested convolutions).
-
-    Its x go in blocks of _THETA_BLOCK angles theta = arccos x, each block
-    one stacked circle integral: one row-wise circle rule, with the
-    theta-dependent kinks theta +- u of F as per-row columns, and one call
-    of each factor for the whole block.  Each row is the circle rule conv0
-    uses at that theta, padded with zero-width panels, so the values agree
-    with conv0 to rounding.
-    """
-    fac_f, kinks_f = _on_circle(F), kink_angles(F)
-    fac_g, kinks_g = _on_circle(G), kink_angles(G)
-
-    def fn(xs: np.ndarray) -> np.ndarray:
-        theta = np.arccos(xs.ravel())
-        out = np.empty(theta.size)
-        for lo in range(0, theta.size, _THETA_BLOCK):
-            block = theta[lo : lo + _THETA_BLOCK]
-            out[lo : lo + _THETA_BLOCK] = _circle_conv(fac_f, kinks_f, fac_g, kinks_g, block, order)
-        return out.reshape(xs.shape)
-
-    return ZonalKernel(fn=fn, name=f"({F.name} *0 {G.name})", breakpoints=conv_kink_abscissae(F, G))
+    """F *_0 G wrapped as a kernel (used for nested convolutions): conv0 at theta = arccos x."""
+    return ZonalKernel(
+        fn=lambda xs: conv0(F, G, np.arccos(xs), order),
+        name=f"({F.name} *0 {G.name})",
+        breakpoints=conv_kink_abscissae(F, G),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -256,29 +244,6 @@ def _descente_chain_coeffs(m: int):
     return out
 
 
-@lru_cache(maxsize=None)
-def _theta_taylor_matrix(m: int) -> tuple:
-    """M[k][j] with Htilde^(2k)(0) = sum_j M[k][j] H^(j)(1), 1 <= j <= k <= m.
-
-    Built from the Taylor coefficients of (cos theta - 1)^j.
-    """
-    n_pow = m + 1  # powers of theta^2 retained: theta^0 .. theta^(2m)
-    base = np.zeros(n_pow)
-    for i in range(1, n_pow):
-        base[i] = (-1.0) ** i / math.factorial(2 * i)
-    rows = []
-    power = np.zeros(n_pow)
-    power[0] = 1.0
-    powers = []
-    for _ in range(m):
-        power = np.convolve(power, base)[:n_pow]
-        powers.append(power.copy())
-    for k in range(1, m + 1):
-        row = [math.factorial(2 * k) / math.factorial(j) * powers[j - 1][k] for j in range(1, k + 1)]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _antiderivative_ladder(kernel: ZonalKernel, m: int) -> list:
     """[I^m f, I^(m-1) f, ..., f]; exact antiderivatives when recorded."""
     ladder = [kernel]
@@ -307,64 +272,51 @@ def _factor_derivative(ladder: list, j: int):
     return evaluate, sorted(kinks)
 
 
-def dimension_hop_conv(f: ZonalKernel, g: ZonalKernel, params: GegenbauerParams, x: float, order: int = 64) -> float:
+@on_interval
+def dimension_hop_conv(
+    f: ZonalKernel, g: ZonalKernel, params: GegenbauerParams, x, *, order: int = 64
+) -> np.ndarray | float:
     """Evaluate (f *_(lam+1) g)(x) through the hop identity, lam = params.lam.
 
     lam must be a nonnegative integer so the recursion reaches *_0; after m =
     lam + 1 levels the accumulated factor is (2m - 1)!!.  Montee is applied
     m times to each factor, the *_0 convolution is differentiated m times by
     distributing theta-derivatives onto the factors' antiderivative ladders,
-    and the chain rule converts to x-derivatives.  At the poles x = +-1, where
-    that chain rule degenerates, the x-derivatives are solved from the even
-    theta-derivatives at theta = 0 or pi.  At the finitely many kink
-    abscissae the value is the a.e. representative, see conv_kink_abscissae.
+    and the chain rule converts to x-derivatives; each split of the chain is
+    one circle integral over all theta = arccos x.  At the poles x = +-1,
+    where that chain rule degenerates, the value is the Parseval integral
+    int f(t) g(+-t) dOmega_(lam+1)(t): the coefficients multiply, the
+    normalized W_n take (+-1)^n there and are orthogonal under
+    dOmega_(lam+1).  At the finitely many kink abscissae the value is the
+    a.e. representative, see conv_kink_abscissae.
     """
     lam = params.lam
     m = int(round(lam)) + 1
     if abs(lam - round(lam)) > 1e-12 or m < 1:
         raise ValueError("hop evaluation needs integer lambda >= 0 to reach the *_0 base")
-    x = float(clamp_x(x))
-    dfact = 1.0
-    for j in range(m):
-        dfact *= 2.0 * j + 1.0
-
+    out = np.empty(x.shape)
+    for pole in (1.0, -1.0):
+        at = x == pole
+        if at.any():
+            breaks = [*getattr(f, "breakpoints", ()), *(pole * b for b in getattr(g, "breakpoints", ()))]
+            t, w = theta_rule(breaks, lam + 1.0, order)
+            out[at] = w @ (f(t) * g(pole * t))
+    inner = np.abs(x) < 1.0
+    if not inner.any():
+        return out
+    dfact = float(math.prod(range(1, 2 * m, 2)))
     ladder_f = _antiderivative_ladder(f, m)
     ladder_g = _antiderivative_ladder(g, m)
-
-    if x == 1.0 or x == -1.0:
-        # The chain rule for x = cos(theta) degenerates at the poles; solve
-        # the x-derivatives from the even theta-derivatives of Htilde there.
-        # At theta = pi the expansion runs in H(-y), flipping alternate signs.
-        pole = 0.0 if x == 1.0 else math.pi
-        h_theta = []
-        for k in range(1, m + 1):
-            fa, ka = _factor_derivative(ladder_f, k)
-            fb, kb = _factor_derivative(ladder_g, k)
-            # the k-k split evaluated at the pole; fa(pole - t) carries the
-            # parity of the k-th derivative automatically
-            h_theta.append(_circle_conv(fa, ka, fb, kb, pole, order))
-        mat = _theta_taylor_matrix(m)
-        h_x = []
-        for k in range(1, m + 1):
-            row = mat[k - 1]
-            val = h_theta[k - 1] - sum(row[j - 1] * h_x[j - 1] for j in range(1, k))
-            h_x.append(val / row[k - 1])
-        if x == 1.0:
-            return dfact * h_x[m - 1]
-        return dfact * (-1.0) ** m * h_x[m - 1]
-
-    theta = math.acos(x)
-    sin_t = math.sin(theta)
-    chain = _descente_chain_coeffs(m)
-    total = 0.0
-    for k, poly in chain.items():
+    theta = np.arccos(x[inner])
+    sin_t = np.sin(theta)
+    total = np.zeros(theta.size)
+    for k, poly in _descente_chain_coeffs(m).items():
         k1 = (k + 1) // 2
-        k2 = k - k1
         fa, ka = _factor_derivative(ladder_f, k1)
-        fb, kb = _factor_derivative(ladder_g, k2)
-        h_k = _circle_conv(fa, ka, fb, kb, theta, order)
-        total += float(poly(theta)) / sin_t ** (2 * m - k) * h_k
-    return dfact * total
+        fb, kb = _factor_derivative(ladder_g, k - k1)
+        total += poly(theta) / sin_t ** (2 * m - k) * _circle_conv(fa, ka, fb, kb, theta, order)
+    out[inner] = dfact * total
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +407,8 @@ def conv_property_check(f, g, h, params: GegenbauerParams, order: int = 96, trun
         xs = np.cos(thetas)
         report["commutativity"] = float(np.max(np.abs(fg(xs) - gf(xs))))
         gh = conv0_kernel(g, h, order)
-        assoc = [abs(conv0(fg, h, t, order) - conv0(f, gh, t, order)) for t in thetas[::3]]
-        report["associativity"] = float(max(assoc))
+        assoc = np.abs(conv0(fg, h, thetas[::3], order) - conv0(f, gh, thetas[::3], order))
+        report["associativity"] = float(np.max(assoc))
         norm_fg = bnorm(fg, params, order)
         norm_f, norm_g = bnorm(f, params, order), bnorm(g, params, order)
         report["norm_lhs"], report["norm_rhs"] = norm_fg, norm_f * norm_g

@@ -67,10 +67,12 @@ def clamp_x(x):
 def on_interval(fn):
     """Apply the x contract of every zonal-profile evaluator to `fn`.
 
-    x is the last positional argument (options go by keyword).  The body
-    receives clamp_x(x) as a float array of at least one dimension, so it
-    never sees a value outside [-1, 1]; a scalar x gets a float back, and an
-    array x gets the body's array of its shape.
+    x is the last positional parameter and every option after it is
+    keyword-only, so an option passed by position raises TypeError instead
+    of being taken for x.  The body receives clamp_x(x) as a float array of
+    at least one dimension, so it never sees a value outside [-1, 1]; a
+    scalar x gets a float back, and an array x gets the body's array of its
+    shape.
     """
 
     @functools.wraps(fn)
@@ -343,7 +345,7 @@ def _cesaro_factors(n_max: int, delta: float) -> np.ndarray:
 
 
 @on_interval
-def series_eval(s: SeriesCoeffs, x, cesaro: float | None = None) -> np.ndarray | float:
+def series_eval(s: SeriesCoeffs, x, *, cesaro: float | None = None) -> np.ndarray | float:
     """Partial sum sum_{n<=N} w_lam(n) fhat(n) W^lam_n(x).
 
     `cesaro` (an order delta > 0) optionally applies Cesaro smoothing factors,

@@ -142,7 +142,7 @@ def _montee_recurrence_theta(m: int, t: float, theta: np.ndarray) -> np.ndarray:
 
 
 @on_interval
-def eval_montee_recurrence(m: int, t: float, x, k: int = 1):
+def eval_montee_recurrence(m: int, t: float, x, *, k: int = 1):
     """Single montee I f_m via the double integration-by-parts recurrence.
 
     Chains down to the printed base cases I f_1 and I f_2; only k = 1 is

@@ -7,8 +7,7 @@ adaptive cumulative integral behind the numeric montee, which refines
 batches of panels off a last-in-first-out stack.  The panel builder and the
 circle rule also work row-wise: leading axes of their edges or kinks are
 rows, one rule each, which is how *_0 integrates a block of theta at once
-(a circle rule pads rows with zero-width panels to one shape).  A 1-D input
-gives exactly the 1-D rule.  All pure.
+(a circle rule pads rows with zero-width panels to one shape).  All pure.
 """
 
 from __future__ import annotations
@@ -68,9 +67,9 @@ def circle_rule(kinks, order: int):
 
     Angles wrap onto the circle, whose ends +-pi are always edges (an angle
     at +-pi merges into them); edges closer than 1e-13 merge, and the last
-    panel always ends at +pi.  Leading axes
-    of `kinks` are rows, one rule each: there a merged edge stays as a
-    zero-width panel (zero weights), so every row has the same shape.
+    panel always ends at +pi.  Leading axes of `kinks` are rows, one rule
+    each (a 1-D input is one row); a merged edge stays as a zero-width
+    panel (zero weights), so every row has the same shape.
     """
     w = (np.asarray(kinks, dtype=float) + math.pi) % (2.0 * math.pi) - math.pi
     ends = np.empty(w.shape[:-1] + (2,))
@@ -79,14 +78,10 @@ def circle_rule(kinks, order: int):
     keep = np.empty(edges.shape, dtype=bool)
     keep[..., 0] = True
     np.greater(edges[..., 1:] - edges[..., :-1], 1e-13, out=keep[..., 1:])
-    if edges.ndim == 1:
-        edges = edges[keep]
-        edges[-1] = math.pi
-    else:
-        # each merged edge repeats the last kept one before it
-        src = np.maximum.accumulate(np.where(keep, np.arange(edges.shape[-1]), 0), axis=-1)
-        edges = np.take_along_axis(edges, src, axis=-1)
-        edges[src == src[..., -1:]] = math.pi
+    # each merged edge repeats the last kept one before it
+    src = np.maximum.accumulate(np.where(keep, np.arange(edges.shape[-1]), 0), axis=-1)
+    edges = np.take_along_axis(edges, src, axis=-1)
+    edges[src == src[..., -1:]] = math.pi
     return panel_rule(edges, order)
 
 

@@ -130,6 +130,13 @@ class TestStackedConv0:
         want = np.array([conv0(F, G, t, order) for t in np.arccos(xs)])
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
+    def test_conv0_over_an_array_is_the_per_theta_calls(self):
+        F, G = _cap_power(math.cos(U_F), 1), cap_indicator(math.cos(U_G))
+        got = conv0(F, G, STACK_THETAS.reshape(2, -1))
+        assert got.shape == (2, STACK_THETAS.size // 2)
+        assert type(conv0(F, G, 0.3)) is float
+        assert np.array_equal(got.ravel(), [conv0(F, G, float(t)) for t in STACK_THETAS])
+
     def test_each_factor_called_once_per_block(self):
         F, f_calls = counted(_cap_power(math.cos(U_F), 1))
         G, g_calls = counted(_cap_power(math.cos(U_G), 2))
@@ -169,12 +176,7 @@ class TestConvLambdaCoeffs:
         prod = conv_lambda_coeffs(fhat, fhat)
         from sphkern.zonal import ZonalKernel
 
-        hop = ZonalKernel(
-            fn=lambda xs: np.array(
-                [dimension_hop_conv(chi, chi, P0, float(x), order=64) for x in np.atleast_1d(xs)]
-            ),
-            breakpoints=(-1.0, 1.0),
-        )
+        hop = ZonalKernel(fn=lambda xs: dimension_hop_conv(chi, chi, P0, xs, order=64), breakpoints=(-1.0, 1.0))
         hop_hat = transform(hop, P1, 30, order=200)
         assert np.max(np.abs(hop_hat.coeffs - prod.coeffs)) < 1e-6
 
@@ -247,7 +249,7 @@ class TestDimensionHop:
         xs = np.cos((np.arange(40) + 0.5) * math.pi / 40)
         kinks = np.array(conv_kink_abscissae(f2, f2))
         xs = xs[np.min(np.abs(xs[:, None] - kinks[None, :]), axis=1) > 0.02]
-        hop = np.array([dimension_hop_conv(f2, f2, P1, float(x)) for x in xs])
+        hop = dimension_hop_conv(f2, f2, P1, xs)
         assert np.max(np.abs(hop - series_eval(conv_lambda_coeffs(fhat, fhat), xs))) <= 1e-12
 
     def test_star1_matches_series_reconstruction(self):
@@ -257,7 +259,7 @@ class TestDimensionHop:
             ghat = transform(g, P1, 60, order=200)
             prod = conv_lambda_coeffs(ghat, ghat)
             xs = np.linspace(-0.95, 0.95, 101)
-            hop = np.array([dimension_hop_conv(g, g, P0, float(x), order=64) for x in xs])
+            hop = dimension_hop_conv(g, g, P0, xs, order=64)
             assert np.max(np.abs(hop - series_eval(prod, xs))) < 2e-3
 
     def test_star1_interior_matches_n3(self):
@@ -267,8 +269,55 @@ class TestDimensionHop:
         g = cap_indicator(math.cos(s))
         a = cap_kernel_coefficients(3, s).a
         xs = np.linspace(math.cos(2 * s) + 0.01, 0.99, 41)
-        hop = np.array([dimension_hop_conv(g, g, P0, float(x)) for x in xs])
+        hop = dimension_hop_conv(g, g, P0, xs)
         assert np.max(np.abs(hop / a - eval_cap_kernel(3, s, xs))) < 1e-10
+
+    @pytest.mark.parametrize("m", (2, 3, 4))
+    @pytest.mark.parametrize("s", (math.pi / 6, math.pi / 3))
+    def test_interior_matches_cap_kernel(self, m, s):
+        # the interior hop at high m, where the poles no longer pass through it
+        from sphkern.kernels import cap_kernel_coefficients, eval_cap_kernel
+
+        g = cap_indicator(math.cos(s))
+        a = cap_kernel_coefficients(2 * m + 1, s).a
+        xs = np.linspace(math.cos(2 * s) + 0.01, 0.99, 41)
+        hop = dimension_hop_conv(g, g, GegenbauerParams(float(m - 1)), xs)
+        assert np.max(np.abs(hop / a - eval_cap_kernel(2 * m + 1, s, xs))) < 1e-10
+
+    @pytest.mark.parametrize("lam", (0.0, 1.0))
+    def test_array_is_the_per_x_calls(self, lam):
+        # poles, kink abscissae, the support edge and more than one theta block
+        s = math.pi / 4
+        g = cap_indicator(math.cos(s))
+        p = GegenbauerParams(lam)
+        special = [1.0, -1.0, *conv_kink_abscissae(g, g), math.cos(2 * s)]
+        xs = np.concatenate([special, np.linspace(-0.97, 0.97, 90 - len(special))])
+        got = dimension_hop_conv(g, g, p, xs.reshape(-1, 3), order=32)
+        assert got.shape == (xs.size // 3, 3)
+        assert np.array_equal(got.ravel(), [dimension_hop_conv(g, g, p, float(x), order=32) for x in xs])
+
+    # (g *_m g)(1) at order 80 and the antipode value, as the Taylor solve of
+    # the x-derivatives from the even theta-derivatives at the pole gave them
+    TAYLOR_ROUTE = {
+        (1, math.pi / 6): 0.04529303685303973,
+        (1, math.pi / 3): 0.307092424652189,
+        (2, math.pi / 6): 0.0069064837715161155,
+        (2, math.pi / 3): 0.1491294368843506,
+        (3, math.pi / 6): 0.00124485416488615,
+        (3, math.pi / 3): 0.08367958993456331,
+        (4, math.pi / 6): 0.00024351946089214117,
+        (4, math.pi / 3): 0.05038498699139542,
+    }
+
+    @pytest.mark.parametrize("m, s", sorted(TAYLOR_ROUTE))
+    def test_pole_integral_matches_the_taylor_route(self, m, s):
+        g = cap_indicator(math.cos(s))
+        got = dimension_hop_conv(g, g, GegenbauerParams(float(m - 1)), 1.0, order=80)
+        assert got == pytest.approx(self.TAYLOR_ROUTE[m, s], rel=1e-14, abs=1e-16)
+
+    def test_antipode_matches_the_taylor_route(self):
+        g = cap_indicator(-0.5)
+        assert dimension_hop_conv(g, g, P0, -1.0) == pytest.approx(0.9566114774905192, rel=1e-14)
 
 
 class TestSelfConvolutionPositivity:

@@ -1,6 +1,9 @@
 """Gegenbauer evaluation, normalization, quadrature and transform tests."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -8,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from sphkern.convolution import cap_indicator, cap_montee_selfconv0_closed, conv0_kernel
+import sphkern
+from sphkern.convolution import cap_indicator, cap_montee_selfconv0_closed, conv0_kernel, dimension_hop_conv
 from sphkern.errors import ResourceLimitError
 from sphkern.gegenbauer import (
     GegenbauerParams,
     SeriesCoeffs,
     clamp_x,
+    on_interval,
     eval_gegenbauer,
     eval_gegenbauer_derivative,
     fourier_coeff,
@@ -329,6 +334,8 @@ EVALUATORS = {
     # batched bodies: a kernel fn and an image evaluator that flatten x and reshape
     "conv0_kernel": conv0_kernel(cap_indicator(0.5), cap_indicator(0.5), order=16),
     "descente_numeric": descente_numeric(_F2.as_kernel()),
+    # interior x through the circle integrals, x = +-1 through the pole integral
+    "dimension_hop_conv": lambda x: dimension_hop_conv(cap_indicator(0.5), cap_indicator(0.5), P0, x, order=16),
 }
 XS = np.array([-0.9, -0.3, 0.2, 0.55, 0.8, 0.95])
 
@@ -369,6 +376,48 @@ class TestOnInterval:
 
     def test_empty_input_gives_empty_output(self, name):
         assert EVALUATORS[name](np.array([])).shape == (0,)
+
+
+def _on_interval_evaluators() -> dict:
+    """Every on_interval wrapper in the sphkern modules, class __call__ methods included."""
+    wrapper_code = on_interval(lambda x: x).__code__
+    found = {}
+    for info in pkgutil.iter_modules(sphkern.__path__):
+        module = importlib.import_module(f"sphkern.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj):
+                obj, name = vars(obj).get("__call__"), f"{name}.__call__"
+            if getattr(obj, "__code__", None) is wrapper_code:
+                found.setdefault(obj.__wrapped__, f"{obj.__wrapped__.__module__}.{name}")
+    return found
+
+
+class TestOnIntervalSignatures:
+    def test_x_is_last_positional_and_options_are_keyword_only(self):
+        found = _on_interval_evaluators()
+        assert len(found) >= 12, sorted(found.values())
+        positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        for fn, label in found.items():
+            params = list(inspect.signature(fn).parameters.values())
+            last = max(i for i, p in enumerate(params) if p.kind in positional)
+            assert params[last].name == "x", label
+            assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in params[last + 1 :]), label
+
+    # before the options were keyword-only, on_interval took each option
+    # below for x and passed the real x on as the option
+    def test_series_eval_option_after_an_array_x_raises(self):
+        s = SeriesCoeffs(P1, np.array([1.0, 0.5, 0.25]), 2)
+        with pytest.raises(TypeError):
+            series_eval(s, np.linspace(-1.0, 1.0, 5), 0.5)
+
+    def test_series_eval_option_after_a_scalar_x_raises(self):
+        s = SeriesCoeffs(P1, np.array([1.0, 0.5, 0.25]), 2)
+        with pytest.raises(TypeError):
+            series_eval(s, 0.5, 1.0)
+
+    def test_montee_recurrence_positional_k_raises(self):
+        with pytest.raises(TypeError):
+            eval_montee_recurrence(3, 1.0, 0.5, 1)
 
 
 class TestClampX:

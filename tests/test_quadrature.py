@@ -35,13 +35,16 @@ class TestCircleRule:
         ],
     )
     def test_covers_circle_without_zero_width_panels(self, kinks):
+        # merged edges stay as zero-width panels; the live ones cover the
+        # circle in order, none narrower than the merge threshold
         order = 8
-        t, w = circle_rule(kinks, order)
+        t, w = live_panels(*circle_rule(kinks, order), order)
         assert w.sum() == pytest.approx(2.0 * math.pi, abs=1e-14)
-        widths = w.reshape(-1, order).sum(axis=1)
-        assert np.all(widths > 1e-13)
+        assert np.all(w.reshape(-1, order).sum(axis=1) > 1e-13)
         assert np.all(np.diff(t) > 0.0)
         assert -math.pi < t[0] and t[-1] < math.pi
+        want_t, want_w = loop_circle_rule(kinks, order)
+        assert np.array_equal(t, want_t) and np.array_equal(w, want_w)
 
     def test_integrates_kinked_periodic_function(self):
         # |sin t| has kinks at 0 and +-pi; split there the rule is spectral
@@ -76,6 +79,12 @@ def loop_circle_rule(kinks, order):
     return loop_panel_rule(edges, order)
 
 
+def live_panels(t, w, order):
+    """The nodes and weights of one rule's panels of nonzero width."""
+    live = w.reshape(-1, order).any(axis=1)
+    return t.reshape(-1, order)[live].ravel(), w.reshape(-1, order)[live].ravel()
+
+
 def kink_rows(rng, n_rows, n_kinks):
     """Random kink angles, with ties, near-ties and angles at or near +-pi mixed in."""
     rows = rng.uniform(-4.0, 4.0, (n_rows, n_kinks))
@@ -100,12 +109,16 @@ class TestRowWiseRules:
 
     @pytest.mark.parametrize("order", [8, 64])
     def test_1d_circle_rule_is_the_loop(self, order):
+        # a 1-D input is one row: its live panels are the loop's rule
         rng = np.random.default_rng(order)
         for row in kink_rows(rng, 300, 6):
             for kinks in (row, list(row[:3]), []):
                 t, w = circle_rule(kinks, order)
+                assert t.shape == w.shape == ((len(kinks) + 1) * order,)
                 want_t, want_w = loop_circle_rule(kinks, order)
+                t, w = live_panels(t, w, order)
                 assert np.array_equal(t, want_t) and np.array_equal(w, want_w)
+                assert np.all(np.diff(t) > 0.0)
 
     def test_panel_rule_rows(self):
         rng = np.random.default_rng(1)
@@ -122,12 +135,15 @@ class TestRowWiseRules:
         t, w = circle_rule(rows, order)
         assert t.shape == w.shape == (400, 7 * order)
         for row, t_row, w_row in zip(rows, t, w):
-            panels = w_row.reshape(-1, order)
-            live = panels.any(axis=1)
-            assert np.all(t_row.reshape(-1, order)[~live] == t_row.reshape(-1, order)[~live, :1])
-            want_t, want_w = circle_rule(row, order)
-            assert np.array_equal(t_row.reshape(-1, order)[live].ravel(), want_t)
-            assert np.array_equal(panels[live].ravel(), want_w)
+            dead = ~w_row.reshape(-1, order).any(axis=1)
+            assert np.all(t_row.reshape(-1, order)[dead] == t_row.reshape(-1, order)[dead, :1])
+            one_t, one_w = circle_rule(row, order)
+            assert np.array_equal(t_row, one_t) and np.array_equal(w_row, one_w)
+            want_t, want_w = loop_circle_rule(row, order)
+            live_t, live_w = live_panels(t_row, w_row, order)
+            assert np.array_equal(live_t, want_t) and np.array_equal(live_w, want_w)
+            assert live_w.sum() == pytest.approx(2.0 * math.pi, abs=1e-13)
+            assert np.all(np.diff(live_t) > 0.0)
 
 
     def test_rows_away_from_the_ends_get_one_panel_per_kink(self):

@@ -23,9 +23,7 @@ def hop_star1_kernel(c: float) -> ZonalKernel:
     g = cap_indicator(c)
     s = math.acos(c)
     return ZonalKernel(
-        fn=lambda xs: np.array(
-            [dimension_hop_conv(g, g, P0, float(x), order=64) for x in np.atleast_1d(xs)]
-        ),
+        fn=lambda xs: dimension_hop_conv(g, g, P0, xs, order=64),
         name=f"cap({c}) *_1 cap({c})",
         breakpoints=(math.cos(2 * s), 1.0),
     )
