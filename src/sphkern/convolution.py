@@ -81,6 +81,7 @@ def _cap_power(c: float, k: int) -> ZonalKernel:
         breakpoints=(c,),
         derivative=deriv,
         antiderivative_fn=lambda: _cap_power(c, k + 1),
+        support_edge=c,
     )
 
 
@@ -93,6 +94,7 @@ def cap_indicator(c: float) -> ZonalKernel:
         name=f"cap({c:g})",
         breakpoints=(c,),
         antiderivative_fn=lambda: _cap_power(c, 1),
+        support_edge=c,
     )
 
 

@@ -72,6 +72,7 @@ class TruncatedPower:
             breakpoints=(math.cos(t), 1.0),
             antiderivative_fn=lambda: MonteeIterate(self, 1).as_kernel(),
             descriptor={"family": "truncated_power", "m": m, "t": t},
+            support_edge=math.cos(t),
         )
 
 
@@ -310,6 +311,7 @@ class MonteeIterate:
             derivative=derivative,
             antiderivative_fn=lambda: MonteeIterate(self.base, k + 1).as_kernel(),
             descriptor={"family": "montee", "m": m, "k": k, "t": t},
+            support_edge=math.cos(t),
         )
 
     @on_interval
@@ -462,6 +464,7 @@ class CapConvKernel:
             name=f"N_{d}(s={s:g})",
             breakpoints=(math.cos(2.0 * s), 1.0),
             descriptor={"family": "cap_conv", "d": d, "s": s},
+            support_edge=math.cos(2.0 * s),
         )
 
     def __call__(self, x):

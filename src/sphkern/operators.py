@@ -156,6 +156,7 @@ class OperatorImage:
             name=f"{self.op}({self.source.name})",
             breakpoints=self.breakpoints,
             derivative=derivative,
+            support_edge=self.source.support_edge,
         )
 
 
@@ -201,6 +202,8 @@ def descente_numeric(f: ZonalKernel, tol: float = 1e-8) -> OperatorImage:
     +-1) the stencil points towards x = 1 below x = 0.5 and towards -1
     from there on.  A stencil's step is at most 1/16 of the distance to
     the next guard ahead of it, so it never reaches past that guard.
+    Below the kernel's support edge f vanishes on an open set, so the image
+    is 0 there, even where a stencil at the edge would reach across it.
     """
     if f.derivative is not None:
         return OperatorImage(
@@ -243,6 +246,7 @@ def descente_numeric(f: ZonalKernel, tol: float = 1e-8) -> OperatorImage:
             ahead = -gap[flagged] * direction[:, None]
             room = np.min(np.where(ahead > 1e-12, ahead, math.inf), axis=1)
             out[flagged] = _one_sided(f, xf, np.minimum(h_default, room / 16.0), direction)
+        out[x < f.support_edge] = 0.0
         return out.reshape(xs.shape), flagged.reshape(xs.shape)
 
     return OperatorImage(

@@ -12,6 +12,7 @@ concrete point sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "classify",
     "gram_min_eig",
     "gram_matrix",
+    "sparse_gram",
     "generate_points",
 ]
 
@@ -48,7 +50,7 @@ class PointSet:
         norms = np.linalg.norm(pts, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("all points must be unit vectors within 1e-12")
-        if len(pts) > 1 and _max_offdiag_cos(pts) >= 1.0 - 1e-14:
+        if len(pts) > 1 and _max_neighbour_cos(pts) >= 1.0 - 1e-14:
             raise ValueError("point set contains (numerically) coincident points")
 
     def __len__(self) -> int:
@@ -57,14 +59,19 @@ class PointSet:
     def min_geodesic_separation(self) -> float:
         if len(self) < 2:
             return float(np.pi)
-        return float(np.arccos(_max_offdiag_cos(self.points)))
+        return float(np.arccos(_max_neighbour_cos(self.points)))
 
 
-def _max_offdiag_cos(pts: np.ndarray) -> float:
-    """Largest x_i . x_j over i != j (n >= 2), capped at 1; one n x n product."""
-    gram = pts @ pts.T
-    np.fill_diagonal(gram, -1.0)
-    return min(float(np.max(gram)), 1.0)
+def _max_neighbour_cos(pts: np.ndarray) -> float:
+    """Largest x_i . x_j over i != j (n >= 2), capped at 1, from each point's
+    nearest neighbour in a kd-tree: the largest dot is the shortest chord."""
+    # imported here: scipy.spatial at module level adds ~65 ms to `import sphkern`
+    from scipy.spatial import cKDTree
+
+    _, idx = cKDTree(pts).query(pts, k=2)
+    # an exact duplicate ties with the point itself at distance 0, in either order
+    nearest = np.where(idx[:, 1] == np.arange(len(pts)), idx[:, 0], idx[:, 1])
+    return min(float(np.max(np.einsum("ij,ij->i", pts, pts[nearest]))), 1.0)
 
 
 def generate_points(d: int, n: int, scheme: str = "random_seeded", seed: int = 0) -> PointSet:
@@ -217,18 +224,47 @@ def classify(
     )
 
 
+def sparse_gram(f: ZonalKernel, pts: PointSet):
+    """M_X as a COO matrix of f's support pairs (x >= edge); None without one.
+
+    The pairs come from a kd-tree at chord radius sqrt(2 - 2 edge), widened
+    by 1e-12 so that no pair on the edge is lost.  f runs once per i < j pair
+    and fills (i, j) and (j, i), so M_X is symmetric by construction; the
+    diagonal is f(1), as in gram_matrix.
+    """
+    if f.support_edge <= -1.0:
+        return None
+    # imported here: scipy.spatial and .sparse at module level add ~65 ms to `import sphkern`
+    from scipy import sparse
+    from scipy.spatial import cKDTree
+
+    n = len(pts)
+    radius = math.sqrt(2.0 - 2.0 * f.support_edge) * (1.0 + 1e-12)
+    pairs = cKDTree(pts.points).query_pairs(radius, output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    # one coordinate at a time: gathering whole rows would copy (d+1) x pairs
+    x = clamp_x(sum(coord[i] * coord[j] for coord in pts.points.T))
+    keep = x >= f.support_edge
+    i, j, x = i[keep], j[keep], x[keep]
+    v = np.asarray(f(x), dtype=float)
+    rows, cols = np.concatenate([i, j, np.arange(n)]), np.concatenate([j, i, np.arange(n)])
+    return sparse.coo_matrix((np.concatenate([v, v, np.full(n, f(1.0))]), (rows, cols)), shape=(n, n))
+
+
 def gram_matrix(f: ZonalKernel, pts: PointSet) -> np.ndarray:
     """M_X = [f(x_i . x_j)]; geodesic distances enter through clamped dots.
 
-    Self-dots of unit vectors equal 1 exactly, so the diagonal is pinned
-    there before the kernel is applied: profiles with a sqrt-type cusp at
-    x = 1 (every compactly supported family here) would otherwise amplify
-    the last-ulp dot error to ~1e-8.
+    Self-dots of unit vectors equal 1 exactly, so the diagonal is pinned to
+    f(1): profiles with a sqrt-type cusp at x = 1 (every compactly supported
+    family here) would otherwise amplify the last-ulp dot error to ~1e-8.
+    Without local support f runs on the whole (symmetric) dot matrix.
     """
+    m = sparse_gram(f, pts)
+    if m is not None:
+        return m.toarray()
     gram = clamp_x(pts.points @ pts.points.T)
     np.fill_diagonal(gram, 1.0)
-    m = np.asarray(f(gram), dtype=float)
-    return 0.5 * (m + m.T)
+    return np.asarray(f(gram), dtype=float)
 
 
 def gram_min_eig(f: ZonalKernel, pts: PointSet) -> float:

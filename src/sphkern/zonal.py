@@ -18,6 +18,8 @@ Kernels carry structural metadata used throughout the package:
   from -1 when one is known: every truncated power and montee iterate (one
   exact montee algebra) and every cap indicator power records it.  Kernels
   without one (N_d, series) fall back to numeric montee quadrature.
+* ``support_edge`` -- f(x) = 0 for every x < edge (cos 2s for N_d, cos t
+  for f_m and I^k f_m); the default -1 means no local support.
 
 Kernels are immutable and evaluation is pure.
 """
@@ -44,6 +46,7 @@ class ZonalKernel:
     derivative: Optional["ZonalKernel"] = None
     antiderivative_fn: Optional[Callable[[], "ZonalKernel"]] = field(default=None, repr=False)
     descriptor: Optional[dict] = None
+    support_edge: float = -1.0
 
     @on_interval
     def __call__(self, x):

@@ -296,3 +296,14 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d"] == 5
+
+
+def test_import_leaves_scipy_spatial_and_sparse_unloaded():
+    # the sparse interpolation path imports them on first use, so that
+    # `import sphkern` stays as cheap as before it existed
+    src = os.path.dirname(os.path.dirname(sphkern.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = "import sys, sphkern; print(sorted(m for m in ('scipy.spatial', 'scipy.sparse') if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,17 +2,20 @@
 failure modes of non-SPD kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphkern import interpolation
+from sphkern.convolution import cap_indicator
 from sphkern.errors import NotPositiveDefiniteError
 from sphkern.gegenbauer import GegenbauerParams
-from sphkern.interpolation import evaluate_interpolant, solve_interpolation
-from sphkern.kernels import CapConvKernel
-from sphkern.spd import PointSet, generate_points
+from sphkern.interpolation import Interpolant, _solve_cg, _solve_cholesky, evaluate_interpolant, solve_interpolation
+from sphkern.kernels import CapConvKernel, MonteeIterate, TruncatedPower
+from sphkern.spd import PointSet, generate_points, sparse_gram
 from sphkern.zonal import gegenbauer_kernel
 
 N3 = CapConvKernel(3, math.pi / 3).as_kernel()
@@ -102,6 +105,18 @@ class TestEvaluate:
         assert np.max(np.abs(out - direct)) <= 1e-15 * np.sum(np.abs(itp.coefficients))
         assert type(evaluate_interpolant(itp, q[2499])) is float
 
+    def test_support_edge_is_inside(self):
+        # chi_[c,1] is 1 at x == c exactly: the mask must keep the edge
+        c = math.cos(0.5)
+        centers = PointSet(d=2, points=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        itp = Interpolant(centers, cap_indicator(c), np.array([2.0, 3.0]), 0.0)
+        queries = np.array([[c, math.sqrt(1.0 - c * c), 0.0], [c, 0.0, -math.sqrt(1.0 - c * c)]])
+        queries /= np.linalg.norm(queries, axis=1)[:, None]
+        dots = np.clip(queries @ centers.points.T, -1.0, 1.0)
+        expected = (dots >= c).astype(float) @ itp.coefficients
+        assert np.array_equal(evaluate_interpolant(itp, queries), expected)
+        assert expected[0] == 2.0
+
     def test_convergence_trend(self):
         # refining 25 -> 100 centers shrinks the grid error for a smooth target
         grid = generate_points(2, 200, scheme="random_seeded", seed=42)
@@ -149,3 +164,88 @@ class TestEquivariance:
         itp = solve_interpolation(pts, harmonic(pts.points), N3)
         again = solve_interpolation(pts, evaluate_interpolant(itp, pts.points), N3)
         assert np.max(np.abs(again.coefficients - itp.coefficients)) <= 1e-8
+
+
+def _record_routes(monkeypatch):
+    """Replace both solve routes by stubs that record which one ran."""
+    routes = []
+    for name in ("_solve_cg", "_solve_cholesky"):
+        def stub(m, f, name=name):
+            routes.append(name)
+            return np.zeros_like(f), 0.0
+
+        monkeypatch.setattr(interpolation, name, stub)
+    return routes
+
+
+class TestSolveRoutes:
+    """Sparse CG and dense Cholesky on locally supported kernels."""
+
+    @pytest.mark.parametrize(
+        "d, n, kernel, route",
+        [
+            (2, 4000, CapConvKernel(3, math.pi / 32).as_kernel(), "_solve_cg"),  # 39 nonzeros per row
+            (2, 4000, CapConvKernel(3, math.pi / 8).as_kernel(), "_solve_cholesky"),  # 585
+            (3, 2000, MonteeIterate(TruncatedPower(4, 1.0), 2).as_kernel(), "_solve_cholesky"),  # 348, n = 2000
+            (2, 500, gegenbauer_kernel(GegenbauerParams(0.5), 3), "_solve_cholesky"),  # no local support
+            (2, 50, CapConvKernel(3, math.pi / 64).as_kernel(), "_solve_cholesky"),  # small n
+        ],
+        ids=["n3_narrow", "n3_wide", "i2f4_s3", "global", "small"],
+    )
+    def test_route(self, monkeypatch, d, n, kernel, route):
+        pts = generate_points(2, n, scheme="fibonacci_s2") if d == 2 else generate_points(d, n, seed=1)
+        routes = _record_routes(monkeypatch)
+        solve_interpolation(pts, np.ones(n), kernel)
+        assert routes == [route]
+
+    def test_cg_matches_cholesky(self):
+        kernel = CapConvKernel(3, math.pi / 32).as_kernel()
+        pts = generate_points(2, 4000, scheme="fibonacci_s2")
+        values = harmonic(pts.points) + 1.0
+        m = sparse_gram(kernel, pts)
+        c_cg, res_cg = _solve_cg(m.tocsr(), values)
+        c_dense, res_dense = _solve_cholesky(m.toarray(), values)
+        scale = np.max(np.abs(values))
+        assert res_cg <= 1e-12 * scale and res_dense <= 1e-12 * scale
+        assert np.max(np.abs(c_cg - c_dense)) <= 1e-10 * np.max(np.abs(c_dense))
+        queries = generate_points(2, 2000, scheme="random_seeded", seed=6).points
+        through_cg = evaluate_interpolant(Interpolant(pts, kernel, c_cg, res_cg), queries)
+        through_dense = evaluate_interpolant(Interpolant(pts, kernel, c_dense, res_dense), queries)
+        assert np.max(np.abs(through_cg - through_dense)) <= 1e-11
+
+    def test_cg_detects_a_kernel_that_is_not_pd(self):
+        # f_1 is not PD on S^2: its Gram matrix here has eigenvalue -6.1e-3
+        kernel = TruncatedPower(1, math.pi / 32).as_kernel()
+        pts = generate_points(2, 4000, scheme="fibonacci_s2")
+        with pytest.raises(NotPositiveDefiniteError, match="curvature"):
+            _solve_cg(sparse_gram(kernel, pts).tocsr(), harmonic(pts.points) + 1.0)
+        with pytest.raises(NotPositiveDefiniteError):
+            solve_interpolation(pts, harmonic(pts.points) + 1.0, kernel)
+
+    def test_cg_rejects_a_non_positive_diagonal(self):
+        kernel = TruncatedPower(1, math.pi / 32).as_kernel()
+        pts = generate_points(2, 100, scheme="fibonacci_s2")
+        with pytest.raises(NotPositiveDefiniteError):
+            _solve_cg(-sparse_gram(kernel, pts).tocsr(), np.ones(100))
+
+    def test_cg_zero_data(self):
+        pts = generate_points(2, 100, scheme="fibonacci_s2")
+        c, res = _solve_cg(sparse_gram(N3, pts).tocsr(), np.zeros(100))
+        assert res == 0.0 and not np.any(c)
+
+    def test_twenty_thousand_points_go_through_cg(self, monkeypatch):
+        kernel = CapConvKernel(3, math.pi / 32).as_kernel()
+        pts = generate_points(2, 20_000, scheme="fibonacci_s2")
+        values = harmonic(pts.points) + 1.0
+        routes = []
+        monkeypatch.setattr(interpolation, "_solve_cholesky", lambda m, f: routes.append("dense"))
+        tracemalloc.start()
+        try:
+            itp = solve_interpolation(pts, values, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert routes == []
+        assert itp.residual_inf <= 1e-9 * np.max(np.abs(values))
+        # a dense Gram matrix alone would be 3.2 GB
+        assert peak < 512 * 2**20

@@ -20,7 +20,8 @@ from sphkern.kernels import (
     eval_truncated_power,
     kernel_from_descriptor,
 )
-from sphkern.operators import montee_numeric
+from sphkern.convolution import cap_indicator
+from sphkern.operators import descente_numeric, montee_numeric
 
 CAP_ANGLES = (math.pi / 6, math.pi / 4, math.pi / 3)
 
@@ -304,3 +305,62 @@ class TestDescriptors:
         kern = CapConvKernel(3, 0.5)
         assert kern(1.0) == 1.0
         assert kern.coeffs.a > 0
+
+
+def _support_cases():
+    """(id, factory, expected edge) for every kernel that declares a support edge."""
+    cases = []
+    for d in (3, 5, 7, 9):
+        cases.append((f"N_{d}", lambda d=d: CapConvKernel(d, math.pi / 5).as_kernel(), math.cos(2 * math.pi / 5)))
+    for m, t in ((1, math.pi / 32), (2, 1.0), (4, 2.5)):
+        cases.append((f"f_{m}(t={t:g})", lambda m=m, t=t: TruncatedPower(m, t).as_kernel(), math.cos(t)))
+    for m, k, t in ((1, 1, 0.5), (2, 3, 1.0), (3, 2, 0.7), (4, 2, 1.0), (6, 1, 2.8)):
+        cases.append(
+            (f"I^{k}f_{m}(t={t:g})", lambda m=m, k=k, t=t: MonteeIterate(TruncatedPower(m, t), k).as_kernel(), math.cos(t))
+        )
+    cases.append(("cap", lambda: cap_indicator(0.3), 0.3))
+    for k in (1, 2, 3):
+        cases.append((f"I^{k}cap", lambda k=k: _antiderivative(cap_indicator(-0.4), k), -0.4))
+    cases.append(("montee(N_3)", lambda: montee_numeric(_n3()).as_kernel(), math.cos(2 * math.pi / 5)))
+    cases.append(("descente(N_3)", lambda: descente_numeric(_n3()).as_kernel(), math.cos(2 * math.pi / 5)))
+    cases.append(("descente(f_2)", lambda: descente_numeric(TruncatedPower(2, 0.3).as_kernel()).as_kernel(), math.cos(0.3)))
+    cases.append(
+        ("descente(I^2f_3)", lambda: descente_numeric(MonteeIterate(TruncatedPower(3, 0.7), 2).as_kernel()).as_kernel(), math.cos(0.7))
+    )
+    cases.append(("montee(cap)", lambda: montee_numeric(cap_indicator(0.3)).as_kernel(), 0.3))
+    return cases
+
+
+def _n3():
+    return CapConvKernel(3, math.pi / 5).as_kernel()
+
+
+def _antiderivative(kernel, k):
+    for _ in range(k):
+        kernel = kernel.antiderivative()
+    return kernel
+
+
+class TestSupportEdge:
+    @pytest.mark.parametrize("name, factory, edge", _support_cases(), ids=[c[0] for c in _support_cases()])
+    def test_zero_below_the_edge(self, name, factory, edge):
+        kernel = factory()
+        assert kernel.support_edge == edge
+        grid = np.concatenate([np.linspace(-1.0, edge, 400, endpoint=False), edge - np.logspace(-3, -13, 11)])
+        grid = np.append(grid, np.nextafter(edge, -2.0))
+        assert np.all(grid < edge)
+        assert np.all(kernel(grid) == 0.0)
+        # the edge is the support's, not merely a lower bound on it
+        assert kernel(min(edge + 1e-3, 1.0)) != 0.0
+
+    @pytest.mark.parametrize(
+        "desc, edge",
+        [
+            ({"family": "truncated_power", "m": 2, "t": 1.0}, math.cos(1.0)),
+            ({"family": "montee", "m": 3, "k": 2, "t": 1.0}, math.cos(1.0)),
+            ({"family": "cap_conv", "d": 5, "s": 0.7}, math.cos(1.4)),
+            ({"family": "series", "coeffs": [1.0, 0.5], "lambda": 1.0}, -1.0),
+        ],
+    )
+    def test_descriptors_carry_the_edge(self, desc, edge):
+        assert kernel_from_descriptor(desc).support_edge == edge

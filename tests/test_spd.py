@@ -2,6 +2,7 @@
 and point-set generation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from sphkern.convolution import cap_indicator, dimension_hop_conv
 from sphkern.gegenbauer import GegenbauerParams, transform, series_eval
 from sphkern.kernels import CapConvKernel, TruncatedPower
-from sphkern.spd import PointSet, classify, generate_points, gram_matrix, gram_min_eig
+from sphkern.spd import PointSet, _max_neighbour_cos, classify, generate_points, gram_matrix, gram_min_eig
 from sphkern.zonal import ZonalKernel, gegenbauer_kernel
 
 P0 = GegenbauerParams(0.0)
@@ -131,6 +132,37 @@ class TestGram:
         m = gram_matrix(TruncatedPower(2, 2.0).as_kernel(), pts)
         assert np.array_equal(m, m.T)
 
+    @pytest.mark.parametrize(
+        "d, kernel",
+        [
+            (2, CapConvKernel(3, math.pi / 16).as_kernel()),
+            (3, TruncatedPower(2, 0.6).as_kernel()),
+            (1, cap_indicator(0.9)),
+        ],
+        ids=["N_3", "f_2", "cap"],
+    )
+    def test_support_pairs_match_the_dense_product(self, d, kernel):
+        pts = generate_points(d, 300, scheme="random_seeded", seed=5)
+        dots = np.clip(pts.points @ pts.points.T, -1.0, 1.0)
+        np.fill_diagonal(dots, 1.0)
+        m = gram_matrix(kernel, pts)
+        assert np.array_equal(m, m.T)
+        assert np.array_equal(m != 0.0, kernel(dots) != 0.0)
+        assert np.max(np.abs(m - kernel(dots))) <= 1e-13
+
+    @pytest.mark.parametrize("c", [math.cos(0.5), 0.3, -0.2, 0.999])
+    def test_pairs_on_the_edge_are_kept(self, c):
+        # x_0 . x_k == c exactly; the tree's chord may round past sqrt(2 - 2c)
+        kernel = cap_indicator(c)
+        angles = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+        ring = np.column_stack([np.full(24, c), math.sqrt(1.0 - c * c) * np.cos(angles), math.sqrt(1.0 - c * c) * np.sin(angles)])
+        ring /= np.linalg.norm(ring, axis=1)[:, None]
+        pts = PointSet(d=2, points=np.vstack([[1.0, 0.0, 0.0], ring]))
+        dots = pts.points @ pts.points.T
+        m = gram_matrix(kernel, pts)
+        assert np.array_equal(m[0], (np.clip(dots[0], -1.0, 1.0) >= c).astype(float))
+        assert np.sum(m[0, 1:] == 1.0) > 0
+
     def test_schoenberg_direction_on_truncated_series(self):
         # a series kernel with nonnegative coefficients is PSD up to tail noise
         f2 = TruncatedPower(2, math.pi / 2).as_kernel()
@@ -202,3 +234,62 @@ class TestPointSet:
         with pytest.raises(ValueError, match="coincident"):
             PointSet(d=2, points=pair(1e-8))  # cos = 1 - 5e-17
         assert PointSet(d=2, points=pair(1e-6)).min_geodesic_separation() == pytest.approx(1e-6, rel=1e-3)
+
+
+def _with_near_pair(rng, d: int, n: int, cos_gap: float | None, duplicate: bool) -> np.ndarray:
+    """n random points on S^d, plus a pair 1 - cos_gap apart and/or an exact duplicate."""
+    raw = rng.standard_normal((n, d + 1))
+    pts = raw / np.linalg.norm(raw, axis=1)[:, None]
+    extra = []
+    if cos_gap is not None:
+        x0 = pts[0]
+        u = rng.standard_normal(d + 1)
+        u -= (u @ x0) * x0
+        u /= np.linalg.norm(u)
+        angle = math.acos(1.0 - cos_gap)
+        extra.append(math.cos(angle) * x0 + math.sin(angle) * u)
+    if duplicate:
+        extra.append(pts[n // 2].copy())
+    pts = np.vstack([pts, *extra]) if extra else pts
+    return pts[rng.permutation(len(pts))]
+
+
+class TestNeighbourSeparation:
+    """The kd-tree separation against the brute-force n x n product."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "cos_gap, duplicate",
+        [(None, False), (0.8e-14, False), (1.2e-14, False), (1e-9, False), (None, True), (1.2e-14, True)],
+        ids=["random", "below-threshold", "above-threshold", "close", "duplicate", "close+duplicate"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_brute_force(self, d, cos_gap, duplicate, seed):
+        pts = _with_near_pair(np.random.default_rng(seed), d, 300, cos_gap, duplicate)
+        gram = pts @ pts.T
+        np.fill_diagonal(gram, -1.0)
+        brute = min(float(np.max(gram)), 1.0)
+        assert abs(_max_neighbour_cos(pts) - brute) <= 1e-15
+        coincident = brute >= 1.0 - 1e-14
+        assert coincident == (duplicate or cos_gap == 0.8e-14)
+        if coincident:
+            with pytest.raises(ValueError, match="coincident"):
+                PointSet(d=d, points=pts)
+        else:
+            sep = PointSet(d=d, points=pts).min_geodesic_separation()
+            assert abs(math.cos(sep) - brute) <= 1e-15
+
+    def test_triplicate(self):
+        p = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        assert _max_neighbour_cos(p) == 1.0
+
+    def test_large_set_stays_small(self):
+        pts = generate_points(2, 8000, scheme="fibonacci_s2").points
+        tracemalloc.start()
+        try:
+            PointSet(d=2, points=pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the n x n product this replaced was 488 MiB alone
+        assert peak < 32 * 2**20
