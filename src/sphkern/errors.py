@@ -18,7 +18,13 @@ class AccuracyError(RuntimeError):
 
 
 class NotPositiveDefiniteError(RuntimeError):
-    """Cholesky factorization failed; `pivot` is the 1-based failing minor."""
+    """Cholesky factorization failed; `pivot` is the 1-based failing minor.
+
+    On the banded route the minor is counted in the coordinate-sorted order
+    of the centers that M_X is assembled in, not in the caller's order.
+    Pivot 0 means no factorization failed: CG met non-positive curvature, or
+    a solution missed the residual contract.
+    """
 
     def __init__(self, message, pivot):
         super().__init__(message)

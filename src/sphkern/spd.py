@@ -224,8 +224,11 @@ def classify(
     )
 
 
-def sparse_gram(f: ZonalKernel, pts: PointSet):
+def sparse_gram(f: ZonalKernel, pts: PointSet, order=None):
     """M_X as a COO matrix of f's support pairs (x >= edge); None without one.
+
+    With `order` (a permutation of range(n)) row and column k belong to the
+    point pts.points[order[k]].
 
     The pairs come from a kd-tree at chord radius sqrt(2 - 2 edge), widened
     by 1e-12 so that no pair on the edge is lost.  f runs once per i < j pair
@@ -238,12 +241,13 @@ def sparse_gram(f: ZonalKernel, pts: PointSet):
     from scipy import sparse
     from scipy.spatial import cKDTree
 
-    n = len(pts)
+    points = pts.points if order is None else pts.points[order]
+    n = len(points)
     radius = math.sqrt(2.0 - 2.0 * f.support_edge) * (1.0 + 1e-12)
-    pairs = cKDTree(pts.points).query_pairs(radius, output_type="ndarray")
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
     # one coordinate at a time: gathering whole rows would copy (d+1) x pairs
-    x = clamp_x(sum(coord[i] * coord[j] for coord in pts.points.T))
+    x = clamp_x(sum(coord[i] * coord[j] for coord in points.T))
     keep = x >= f.support_edge
     i, j, x = i[keep], j[keep], x[keep]
     v = np.asarray(f(x), dtype=float)

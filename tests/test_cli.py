@@ -246,6 +246,19 @@ class TestInterp:
         rc = run_main(["interp", "--points", str(pts_file), "--values", str(val_file), "--kernel", N3_DESC])
         assert rc == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, bad):
+        pts_file, val_file, _, vals = self._write_problem(tmp_path, n=20)
+        capsys.readouterr()
+        lines = [format(v, ".17g") for v in vals]
+        lines[5] = bad
+        val_file.write_text("\n".join(lines) + "\n")
+        rc = run_main(["interp", "--points", str(pts_file), "--values", str(val_file), "--kernel", N3_DESC])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_non_spd_kernel_exit_3(self, tmp_path):
         pts_file, val_file, _, _ = self._write_problem(tmp_path, n=30)
         harmonic_desc = json.dumps(

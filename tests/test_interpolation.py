@@ -8,12 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from sphkern import interpolation
 from sphkern.convolution import cap_indicator
 from sphkern.errors import NotPositiveDefiniteError
 from sphkern.gegenbauer import GegenbauerParams
-from sphkern.interpolation import Interpolant, _solve_cg, _solve_cholesky, evaluate_interpolant, solve_interpolation
+from sphkern.interpolation import (
+    _DENSE_COST,
+    Interpolant,
+    _lower_band,
+    _solve_cg,
+    _solve_cholesky,
+    evaluate_interpolant,
+    solve_interpolation,
+)
 from sphkern.kernels import CapConvKernel, MonteeIterate, TruncatedPower
 from sphkern.spd import PointSet, generate_points, sparse_gram
 from sphkern.zonal import gegenbauer_kernel
@@ -51,6 +60,29 @@ class TestSolve:
         pts = generate_points(2, 10, scheme="fibonacci_s2")
         with pytest.raises(ValueError):
             solve_interpolation(pts, np.ones(9), N3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "n, kernel",
+        [(50, N3), (4000, CapConvKernel(3, math.pi / 32).as_kernel())],
+        ids=["cholesky", "cg"],  # the routes of "small" and "n3_narrow" in TestSolveRoutes
+    )
+    def test_non_finite_values_rejected(self, n, kernel, bad):
+        pts = generate_points(2, n, scheme="fibonacci_s2")
+        values = harmonic(pts.points)
+        values[n // 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_interpolation(pts, values, kernel)
+
+    def test_empty_point_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            solve_interpolation(PointSet(d=2, points=np.empty((0, 3))), np.empty(0), N3)
+
+    def test_nan_residual_breaks_the_contract(self, monkeypatch):
+        monkeypatch.setattr(interpolation, "_solve_cholesky", lambda m, f: (np.zeros_like(f), math.nan))
+        pts = generate_points(2, 10, scheme="fibonacci_s2")
+        with pytest.raises(NotPositiveDefiniteError, match="residual"):
+            solve_interpolation(pts, np.ones(10), N3)
 
     def test_non_spd_kernel_raises_with_pivot(self):
         # a single degree-2 harmonic has rank 9; 30 points break Cholesky
@@ -213,6 +245,29 @@ class TestSolveRoutes:
         through_dense = evaluate_interpolant(Interpolant(pts, kernel, c_dense, res_dense), queries)
         assert np.max(np.abs(through_cg - through_dense)) <= 1e-11
 
+    def test_sorted_band_stays_under_160_mib(self):
+        # random points in their given order have bandwidth 3998 (196 MiB
+        # peak as a band); sorted, 1557.  A dense factorization peaks at 280 MiB.
+        pts = generate_points(2, 4000, seed=1)
+        values = harmonic(pts.points) + 1.0
+        tracemalloc.start()
+        try:
+            itp = solve_interpolation(pts, values, CapConvKernel(3, math.pi / 8).as_kernel())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert itp.residual_inf <= 1e-12 * np.max(np.abs(values))
+        assert peak < 160 * 2**20  # 113 MiB measured
+
+    def test_band_detects_a_kernel_that_is_not_pd(self):
+        # f_1 is not PD on S^2: its Gram matrix here has eigenvalue -0.37
+        kernel = TruncatedPower(1, math.pi / 4).as_kernel()
+        pts = generate_points(2, 500, scheme="fibonacci_s2")
+        assert 500**3 <= _DENSE_COST * sparse_gram(kernel, pts).nnz  # the Cholesky route
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            solve_interpolation(pts, harmonic(pts.points) + 1.0, kernel)
+        assert err.value.pivot >= 1  # 56, counted in the sorted order
+
     def test_cg_detects_a_kernel_that_is_not_pd(self):
         # f_1 is not PD on S^2: its Gram matrix here has eigenvalue -6.1e-3
         kernel = TruncatedPower(1, math.pi / 32).as_kernel()
@@ -249,3 +304,72 @@ class TestSolveRoutes:
         assert itp.residual_inf <= 1e-9 * np.max(np.abs(values))
         # a dense Gram matrix alone would be 3.2 GB
         assert peak < 512 * 2**20
+
+
+def _sorted(pts: PointSet) -> np.ndarray:
+    """The order solve_interpolation assembles a locally supported M_X in."""
+    return np.argsort(pts.points[:, np.argmax(np.ptp(pts.points, axis=0))])
+
+
+def _band_problem(name):
+    """Centers, kernel and data of one banded-vs-dense comparison."""
+    if name == "n3_wide":
+        pts = generate_points(2, 4000, seed=3)
+        return pts, CapConvKernel(3, math.pi / 8).as_kernel(), harmonic(pts.points) + 1.0
+    if name == "i2f4_s3":
+        pts = generate_points(3, 2000, seed=3)
+        p = pts.points
+        return pts, MonteeIterate(TruncatedPower(4, 1.0), 2).as_kernel(), 1.0 + p[:, 0] * p[:, 1] - 0.5 * p[:, 3]
+    if name == "antipodal":
+        pts = PointSet(d=2, points=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+        return pts, N3, np.array([2.0, -3.0])
+    if name == "beyond_support":
+        # octahedron vertices, pi/2 apart; N_3 at s = pi/8 reaches pi/4
+        pts = PointSet(d=2, points=np.vstack([np.eye(3), -np.eye(3)]))
+        return pts, CapConvKernel(3, math.pi / 8).as_kernel(), np.arange(1.0, 7.0)
+    pts = PointSet(d=2, points=np.array([[0.6, 0.0, 0.8]]))
+    return pts, N3, np.array([-0.5])
+
+
+class TestBandedCholesky:
+    """The band of the coordinate-sorted M_X against the dense dpotrf oracle."""
+
+    @pytest.mark.parametrize("name", ["n3_wide", "i2f4_s3", "antipodal", "beyond_support", "single"])
+    def test_band_matches_dense(self, name):
+        pts, kernel, values = _band_problem(name)
+        order = _sorted(pts)
+        centers = PointSet(d=pts.d, points=pts.points[order])
+        m = sparse_gram(kernel, pts, order)
+        f = values[order]
+        c_band, res_band = _solve_cholesky(m, f)
+        c_dense, res_dense = _solve_cholesky(m.toarray(), f)
+        scale = np.max(np.abs(f))
+        assert res_band <= 1e-12 * scale and res_dense <= 1e-12 * scale
+        assert np.max(np.abs(c_band - c_dense)) <= 1e-10 * np.max(np.abs(c_dense))
+        queries = generate_points(pts.d, 1000, seed=6).points
+        through_band = evaluate_interpolant(Interpolant(centers, kernel, c_band, res_band), queries)
+        through_dense = evaluate_interpolant(Interpolant(centers, kernel, c_dense, res_dense), queries)
+        assert np.max(np.abs(through_band - through_dense)) <= 1e-11
+        if len(pts) <= 6:
+            assert _lower_band(m).shape == (1, len(pts))  # bandwidth 0: a diagonal M_X
+        # solve_interpolation takes the centers in their given order
+        itp = solve_interpolation(pts, values, kernel)
+        assert np.max(np.abs(itp.coefficients[order] - c_dense)) <= 1e-10 * np.max(np.abs(c_dense))
+
+    def test_lower_band_layout(self):
+        # a 4 x 4 symmetric matrix with bandwidth 2, entries in scrambled order
+        dense = np.array([[4.0, 1.0, 0.5, 0.0], [1.0, 5.0, 0.0, 0.25], [0.5, 0.0, 6.0, 2.0], [0.0, 0.25, 2.0, 7.0]])
+        rows, cols = np.nonzero(dense)
+        data = dense[rows, cols]
+        # M[3, 2] = 2 as two entries of 1, which add up as in m @ x
+        data[(rows == 3) & (cols == 2)] = 1.0
+        rows, cols, data = np.append(rows, 3), np.append(cols, 2), np.append(data, 1.0)
+        perm = np.random.default_rng(0).permutation(len(rows))
+        m = sparse.coo_matrix((data[perm], (rows[perm], cols[perm])), shape=(4, 4))
+        assert np.array_equal(m.toarray(), dense)
+        ab = _lower_band(m)
+        assert ab.flags.f_contiguous and ab.shape == (3, 4)
+        for i in range(4):
+            for j in range(max(0, i - 2), i + 1):
+                assert ab[i - j, j] == dense[i, j]
+        assert ab[1, 3] == 0.0 and ab[2, 2] == 0.0 and ab[2, 3] == 0.0  # past the last row
