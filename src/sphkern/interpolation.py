@@ -12,6 +12,13 @@ direct route factors that band (George and Liu, "Computer Solution of Large
 Sparse Positive Definite Systems", 1981); every other M_X is factored
 dense, which is also the test oracle.  No polynomial augmentation is added: the plain
 system is uniquely solvable exactly when g is strictly positive definite.
+
+Evaluation follows the same split.  A locally supported s(x) only sums the
+centers inside the support cap around x: kd-trees of the centers and of each
+query block give the (query, center) pairs within the chord radius that M_X
+is assembled at, and their distances give x = 1 - v^2 / 2, so memory grows
+with the pairs and no queries x centers array is formed.  Any other g is
+summed over the dot products of each query block with every center.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from scipy.linalg import lapack
 
 from .errors import NotPositiveDefiniteError
 from .gegenbauer import clamp_x
-from .spd import PointSet, gram_matrix, sparse_gram
+from .spd import PointSet, gram_matrix, sparse_gram, support_chord
 from .zonal import ZonalKernel
 
 __all__ = ["Interpolant", "solve_interpolation", "evaluate_interpolant"]
@@ -68,12 +75,13 @@ def solve_interpolation(
     centers sorted along their widest coordinate and goes to CG when
     n^3 > _DENSE_COST * nnz, else to a banded Cholesky in that order; a
     kernel without local support to dense Cholesky.  Both Cholesky routes
-    refine iteratively.  No points, or values that are not finite, raise
-    ValueError.  A kernel that is not strictly PD on the points raises
-    NotPositiveDefiniteError: from Cholesky with the failing pivot (counted
-    in the sorted order on the band), from CG (pivot 0) on non-positive
-    curvature p.Mp.  Any route raises it (pivot 0) on a missed contract; a
-    system CG solves to contract is returned, even if it is indefinite.
+    refine iteratively.  No points, values that are not finite, or a
+    residual_tol that is negative or NaN raise ValueError.  A kernel that is
+    not strictly PD on the points raises NotPositiveDefiniteError: from
+    Cholesky with the failing pivot (counted in the sorted order on the
+    band), from CG (pivot 0) on non-positive curvature p.Mp.  Any route
+    raises it (pivot 0) on a missed contract; a system CG solves to contract
+    is returned, even if it is indefinite.
     """
     f = np.asarray(values, dtype=float)
     if f.shape != (len(pts),):
@@ -82,6 +90,8 @@ def solve_interpolation(
         raise ValueError("interpolation needs at least one point")
     if not np.all(np.isfinite(f)):
         raise ValueError("interpolation values must be finite")
+    if not residual_tol >= 0.0:  # NaN fails too
+        raise ValueError(f"residual tolerance must be a non-negative number, got {residual_tol}")
     # support pairs are close in every coordinate, so in the widest one's
     # order they form a band: 1557 wide of 4000 random S^2 points at N_3,
     # s = pi/8, against 3998 in the given order
@@ -200,7 +210,10 @@ def _solve_cg(m, f: np.ndarray) -> tuple[np.ndarray, float]:
 def evaluate_interpolant(itp: Interpolant, x) -> float | np.ndarray:
     """s(x) = sum_j c_j g(theta(x, x_j)) at one unit vector or a stack of them.
 
-    Non-unit (or NaN) query points raise; there is no silent renormalization.
+    Queries go in blocks of _QUERY_BLOCK.  A locally supported g is summed
+    over each block's support pairs (_support_pair_sums); any other g over
+    the block's dot products with every center.  Non-unit (or NaN) query
+    points raise; there is no silent renormalization.
     """
     q = np.asarray(x, dtype=float)
     single = q.ndim == 1
@@ -212,15 +225,49 @@ def evaluate_interpolant(itp: Interpolant, x) -> float | np.ndarray:
         raise ValueError("query points must be unit vectors within 1e-12")
     vals = np.empty(len(q))
     edge = itp.kernel.support_edge
-    # query blocks bound the dots and every kernel temporary at block x centers
+    if edge > -1.0:
+        # imported here: scipy.spatial at module level adds ~65 ms to `import sphkern`
+        from scipy.spatial import cKDTree
+
+        tree = cKDTree(itp.centers.points)
     for start in range(0, len(q), _QUERY_BLOCK):
-        dots = clamp_x(q[start : start + _QUERY_BLOCK] @ itp.centers.points.T)
-        inside = dots >= edge  # the kernel is 0 on every other entry
-        x = dots[inside]
-        # snap last-ulp coincidences onto the pole; cusped profiles would
-        # otherwise turn an O(eps) dot error into an O(sqrt(eps)) kernel error
-        x[x > 1.0 - 4e-15] = 1.0
-        dots.fill(0.0)  # reused: a fresh block costs more in page faults
-        dots[inside] = itp.kernel(x)
-        vals[start : start + _QUERY_BLOCK] = dots @ itp.coefficients
+        block = q[start : start + _QUERY_BLOCK]
+        if edge > -1.0:
+            block_vals = _support_pair_sums(itp, cKDTree(block), tree)
+        else:
+            x_block = _snap_pole(clamp_x(block @ itp.centers.points.T))
+            block_vals = itp.kernel(x_block) @ itp.coefficients
+        vals[start : start + _QUERY_BLOCK] = block_vals
     return float(vals[0]) if single else vals
+
+
+def _snap_pole(x: np.ndarray) -> np.ndarray:
+    """Snap last-ulp coincidences onto the pole, in place: cusped profiles
+    would otherwise turn an O(eps) x error into an O(sqrt(eps)) kernel error."""
+    x[x > 1.0 - 4e-15] = 1.0
+    return x
+
+
+def _support_pair_sums(itp: Interpolant, block_tree, tree) -> np.ndarray:
+    """s at each query in `block_tree` from its pairs with the centers in `tree`
+    (kd-trees) within spd.support_chord of the kernel's support edge.
+
+    x = 1 - v^2 / 2 from each pair's distance v has absolute error about
+    eps (1 - x), no worse than a dot product's, and needs no gather of the
+    points.  Pairs past the edge, which the widening of the chord admits,
+    are dropped.  Memory is O(pairs), never queries x centers, and the
+    temporaries are updated in place: fresh pages cost about as much as the
+    arithmetic.
+    """
+    edge = itp.kernel.support_edge
+    pairs = block_tree.sparse_distance_matrix(tree, support_chord(edge), output_type="ndarray")
+    x = pairs["v"] ** 2
+    x *= -0.5
+    x += 1.0
+    x = clamp_x(x)
+    inside = x >= edge
+    if not inside.all():
+        pairs, x = pairs[inside], x[inside]
+    weights = itp.coefficients[pairs["j"]]
+    weights *= itp.kernel(_snap_pole(x))
+    return np.bincount(pairs["i"], weights=weights, minlength=block_tree.n)

@@ -412,17 +412,6 @@ def cap_kernel_coefficients(d: int, s: float) -> CapCoeffs:
     return CapCoeffs(dim=d, s=s, a=a, products=products)
 
 
-def _half_angle_tan(x: np.ndarray) -> np.ndarray:
-    # sqrt((1-x)/(1+x)) = tan(arccos(x)/2); the tan form avoids cancellation
-    # in 1-x near the normalization point x = 1.
-    out = np.empty_like(x)
-    near_one = x > 0.9
-    out[near_one] = np.tan(0.5 * np.arccos(x[near_one]))
-    rest = ~near_one
-    out[rest] = np.sqrt((1.0 - x[rest]) / (1.0 + x[rest]))
-    return out
-
-
 @on_interval
 def eval_cap_kernel(d: int, s: float, x):
     """N_d(x): zero for x <= cos(2s), exactly 1 at x = 1."""
@@ -432,16 +421,24 @@ def eval_cap_kernel(d: int, s: float, x):
     idx = x > edge
     if np.any(idx):
         xi = x[idx]
-        q = _half_angle_tan(xi)
-        v = 1.0 + xi
-        poly = np.full_like(xi, coeffs.d)
+        theta = np.arccos(xi)
+        # tan(theta/2) = sqrt((1-x)/(1+x)) without the cancellation in 1-x near x = 1
+        q = 0.5 * theta
+        np.tan(q, out=q)
+        poly = coeffs.d
         if d >= 5:
+            v = 1.0 + xi
             poly = poly + coeffs.e / v
         if d >= 7:
             poly = poly + coeffs.f / v**2
         if d >= 9:
             poly = poly + coeffs.h / v**3
-        out[idx] = 1.0 + coeffs.b * np.arccos(xi) + q * poly
+        # 1 + b theta + q poly, in place: fresh temporaries cost page faults
+        q *= poly
+        theta *= coeffs.b
+        theta += 1.0
+        theta += q
+        out[idx] = theta
     return out
 
 

@@ -224,16 +224,21 @@ def classify(
     )
 
 
+def support_chord(edge: float) -> float:
+    """Chord length sqrt(2 - 2 edge) between points at x = edge, widened by
+    1e-12 so that a kd-tree search at this radius loses no pair on the edge."""
+    return math.sqrt(2.0 - 2.0 * edge) * (1.0 + 1e-12)
+
+
 def sparse_gram(f: ZonalKernel, pts: PointSet, order=None):
     """M_X as a COO matrix of f's support pairs (x >= edge); None without one.
 
     With `order` (a permutation of range(n)) row and column k belong to the
     point pts.points[order[k]].
 
-    The pairs come from a kd-tree at chord radius sqrt(2 - 2 edge), widened
-    by 1e-12 so that no pair on the edge is lost.  f runs once per i < j pair
-    and fills (i, j) and (j, i), so M_X is symmetric by construction; the
-    diagonal is f(1), as in gram_matrix.
+    The pairs come from a kd-tree at support_chord(edge).  f runs once per
+    i < j pair and fills (i, j) and (j, i), so M_X is symmetric by
+    construction; the diagonal is f(1), as in gram_matrix.
     """
     if f.support_edge <= -1.0:
         return None
@@ -243,8 +248,7 @@ def sparse_gram(f: ZonalKernel, pts: PointSet, order=None):
 
     points = pts.points if order is None else pts.points[order]
     n = len(points)
-    radius = math.sqrt(2.0 - 2.0 * f.support_edge) * (1.0 + 1e-12)
-    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    pairs = cKDTree(points).query_pairs(support_chord(f.support_edge), output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
     # one coordinate at a time: gathering whole rows would copy (d+1) x pairs
     x = clamp_x(sum(coord[i] * coord[j] for coord in points.T))

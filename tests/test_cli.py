@@ -259,6 +259,18 @@ class TestInterp:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tolerance_exit_2(self, tmp_path, capsys, tol):
+        pts_file, val_file, _, _ = self._write_problem(tmp_path, n=20)
+        capsys.readouterr()
+        rc = run_main(
+            ["interp", "--points", str(pts_file), "--values", str(val_file), "--kernel", N3_DESC, f"--tol={tol}"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "tolerance" in captured.err and "singular" not in captured.err
+
     def test_non_spd_kernel_exit_3(self, tmp_path):
         pts_file, val_file, _, _ = self._write_problem(tmp_path, n=30)
         harmonic_desc = json.dumps(

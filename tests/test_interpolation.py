@@ -23,7 +23,7 @@ from sphkern.interpolation import (
     evaluate_interpolant,
     solve_interpolation,
 )
-from sphkern.kernels import CapConvKernel, MonteeIterate, TruncatedPower
+from sphkern.kernels import CapConvKernel, MonteeIterate, TruncatedPower, kernel_from_descriptor
 from sphkern.spd import PointSet, generate_points, sparse_gram
 from sphkern.zonal import gegenbauer_kernel
 
@@ -73,6 +73,12 @@ class TestSolve:
         values[n // 3] = bad
         with pytest.raises(ValueError, match="finite"):
             solve_interpolation(pts, values, kernel)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_bad_residual_tolerance_rejected(self, tol):
+        pts = generate_points(2, 20, scheme="fibonacci_s2")
+        with pytest.raises(ValueError, match="tolerance"):
+            solve_interpolation(pts, harmonic(pts.points), N3, residual_tol=tol)
 
     def test_empty_point_set_rejected(self):
         with pytest.raises(ValueError, match="at least one point"):
@@ -159,6 +165,108 @@ class TestEvaluate:
             itp = solve_interpolation(pts, harmonic(pts.points), N5)
             errors.append(np.max(np.abs(evaluate_interpolant(itp, grid.points) - target)))
         assert errors[1] < errors[0]
+
+
+def _dense_sums(itp: Interpolant, q: np.ndarray) -> np.ndarray:
+    """Brute force: every query against every center through clamped dot products."""
+    dots = np.clip(q @ itp.centers.points.T, -1.0, 1.0)
+    dots[dots > 1.0 - 4e-15] = 1.0
+    return np.where(dots >= itp.kernel.support_edge, itp.kernel(dots), 0.0) @ itp.coefficients
+
+
+def _random_coefficients(pts: PointSet, kernel) -> Interpolant:
+    c = np.random.default_rng(5).standard_normal(len(pts))
+    return Interpolant(pts, kernel, c, 0.0)
+
+
+def _record_pair_blocks(monkeypatch):
+    """Spy on the support-pair route: the length of each query block it sums."""
+    blocks = []
+    pair_sums = interpolation._support_pair_sums
+
+    def spy(itp, block_tree, tree):
+        blocks.append(block_tree.n)
+        return pair_sums(itp, block_tree, tree)
+
+    monkeypatch.setattr(interpolation, "_support_pair_sums", spy)
+    return blocks
+
+
+class TestPairEvaluation:
+    """Support-pair sums of locally supported kernels against dense dot products."""
+
+    def test_n3_at_centers_antipodes_and_support_edge(self, monkeypatch):
+        s = math.pi / 32
+        kernel = CapConvKernel(3, s).as_kernel()
+        pts = generate_points(2, 2000, scheme="fibonacci_s2")
+        itp = _random_coefficients(pts, kernel)
+        p = pts.points
+        # rotate every 13th center by exactly 2s along a great circle
+        tangent = np.cross(p[::13], [0.6, 0.0, 0.8])
+        tangent /= np.linalg.norm(tangent, axis=1)[:, None]
+        on_edge = math.cos(2 * s) * p[::13] + math.sin(2 * s) * tangent
+        on_edge /= np.linalg.norm(on_edge, axis=1)[:, None]
+        edge_dots = np.einsum("ij,ij->i", on_edge, p[::13])
+        assert np.max(np.abs(edge_dots - kernel.support_edge)) <= 1e-15
+        queries = np.vstack([p[::7], -p[::11], on_edge])
+        blocks = _record_pair_blocks(monkeypatch)
+        out = evaluate_interpolant(itp, queries)
+        assert blocks == [len(queries)]
+        scale = np.sum(np.abs(itp.coefficients))
+        assert np.max(np.abs(out - _dense_sums(itp, queries))) <= 1e-15 * scale
+        # one center and a query at its antipode (x = -1): no pairs at all
+        pole = _random_coefficients(PointSet(d=2, points=np.array([[0.0, 0.0, 1.0]])), kernel)
+        assert evaluate_interpolant(pole, np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])).tolist() == [
+            0.0,
+            pole.coefficients[0],
+        ]
+
+    def test_i2f4_on_s3_with_a_partial_block(self, monkeypatch):
+        kernel = MonteeIterate(TruncatedPower(4, 1.0), 2).as_kernel()
+        itp = _random_coefficients(generate_points(3, 600, seed=1), kernel)
+        queries = generate_points(3, 1500, seed=2).points
+        blocks = _record_pair_blocks(monkeypatch)
+        out = evaluate_interpolant(itp, queries)
+        assert blocks == [1024, 476]
+        assert np.max(np.abs(out - _dense_sums(itp, queries))) <= 1e-15 * np.sum(np.abs(itp.coefficients))
+
+    def test_n3_partial_last_block(self, monkeypatch):
+        kernel = CapConvKernel(3, math.pi / 32).as_kernel()
+        itp = _random_coefficients(generate_points(2, 2000, scheme="fibonacci_s2"), kernel)
+        queries = generate_points(2, 2100, seed=3).points
+        blocks = _record_pair_blocks(monkeypatch)
+        out = evaluate_interpolant(itp, queries)
+        assert blocks == [1024, 1024, 52]
+        assert np.max(np.abs(out - _dense_sums(itp, queries))) <= 1e-15 * np.sum(np.abs(itp.coefficients))
+
+    @pytest.mark.parametrize("kernel", [N3, gegenbauer_kernel(GegenbauerParams(0.5), 3)], ids=["pairs", "dense"])
+    def test_no_queries(self, kernel):
+        itp = _random_coefficients(generate_points(2, 50, scheme="fibonacci_s2"), kernel)
+        out = evaluate_interpolant(itp, np.empty((0, 3)))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_series_kernel_stays_dense(self, monkeypatch):
+        kernel = kernel_from_descriptor({"family": "series", "coeffs": [1.0, 0.5, 0.25, 0.125], "lambda": 0.5})
+        itp = _random_coefficients(generate_points(2, 300, scheme="fibonacci_s2"), kernel)
+        queries = generate_points(2, 1100, seed=4).points
+        blocks = _record_pair_blocks(monkeypatch)
+        out = evaluate_interpolant(itp, queries)
+        assert blocks == []
+        assert np.max(np.abs(out - _dense_sums(itp, queries))) <= 1e-15 * np.sum(np.abs(itp.coefficients))
+
+    def test_narrow_support_evaluation_stays_under_16_mib(self):
+        # a 2048 x 8000 dot block alone is 125 MiB; the pairs need 1.9 MiB
+        kernel = CapConvKernel(3, math.pi / 64).as_kernel()
+        itp = _random_coefficients(generate_points(2, 8000, scheme="fibonacci_s2"), kernel)
+        queries = generate_points(2, 2048, seed=7).points
+        tracemalloc.start()
+        try:
+            out = evaluate_interpolant(itp, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(out))
+        assert peak < 16 * 2**20
 
 
 class TestEquivariance:

@@ -275,6 +275,34 @@ class TestCapKernels:
         assert np.all(np.isfinite(vals))
         assert np.all(np.abs(vals - 1.0) < 0.5)
 
+    @pytest.mark.parametrize("d", (3, 5, 7, 9))
+    @pytest.mark.parametrize("s", (math.pi / 8, 0.6, 1.5))
+    def test_one_arccos_matches_two_branch_half_angle(self, d, s):
+        # oracle: tan(theta/2) as sqrt((1-x)/(1+x)) for x <= 0.9 and as
+        # tan(arccos(x)/2) above, where 1 - x cancels
+        coeffs = cap_kernel_coefficients(d, s)
+        edge = math.cos(2 * s)
+        x = np.concatenate(
+            [
+                np.linspace(edge, 1.0, 20001)[1:],
+                1.0 - np.logspace(-16, -1, 50),
+                [np.nextafter(edge, 2.0), 0.9, np.nextafter(0.9, -2.0), np.nextafter(0.9, 2.0)],
+            ]
+        )
+        x = x[(x > edge) & (x <= 1.0)]
+        near_one = x > 0.9
+        q = np.empty_like(x)
+        q[near_one] = np.tan(0.5 * np.arccos(x[near_one]))
+        q[~near_one] = np.sqrt((1.0 - x[~near_one]) / (1.0 + x[~near_one]))
+        present = "bdefh"[: (d + 1) // 2]  # b, d; e from d = 5, f from 7, h from 9
+        v = 1.0 + x
+        poly = coeffs.d + sum(getattr(coeffs, k) / v ** (p + 1) for p, k in enumerate(present[2:]))
+        oracle = 1.0 + coeffs.b * np.arccos(x) + q * poly
+        scale = max(abs(getattr(coeffs, k)) for k in present)
+        assert np.max(np.abs(eval_cap_kernel(d, s, x) - oracle)) <= 1e-14 * scale
+        assert eval_cap_kernel(d, s, 1.0) == 1.0
+        assert eval_cap_kernel(d, s, edge) == 0.0
+
 
 class TestDescriptors:
     @pytest.mark.parametrize(
