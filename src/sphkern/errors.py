@@ -22,8 +22,9 @@ class NotPositiveDefiniteError(RuntimeError):
 
     On the banded route the minor is counted in the coordinate-sorted order
     of the centers that M_X is assembled in, not in the caller's order.
-    Pivot 0 means no factorization failed: CG met non-positive curvature, or
-    a solution missed the residual contract.
+    Pivot 0 means no factorization failed: CG met a non-positive diagonal
+    entry or curvature, or a Cholesky solution missed the residual contract.
+    A CG solution that misses it raises AccuracyError instead.
     """
 
     def __init__(self, message, pivot):

@@ -5,7 +5,7 @@ positive definite on the target sphere, the interpolant is
 
     s(x) = sum_j c_j g(theta(x, x_j)),    M_X c = f,
 
-solved by Jacobi-preconditioned CG when g's local support makes M_X sparse
+solved by conjugate gradients when g's local support makes M_X sparse
 enough, else by Cholesky.  A locally supported g's M_X is assembled on the
 centers sorted along their widest coordinate, where it is a band, and the
 direct route factors that band (George and Liu, "Computer Solution of Large
@@ -19,16 +19,30 @@ query block give the (query, center) pairs within the chord radius that M_X
 is assembled at, and their distances give x = 1 - v^2 / 2, so memory grows
 with the pairs and no queries x centers array is formed.  Any other g is
 summed over the dot products of each query block with every center.
+
+Queries are sorted along their widest coordinate, as the centers are, so
+each fixed block of _QUERY_BLOCK queries covers a small patch of the
+sphere, and the blocks are summed on one thread per CPU the process may run
+on, the caller's and a pool's: the kd-tree searches, the kernel ufuncs and
+the BLAS products release the GIL.  A block's sums depend only on its queries,
+and the blocks do not depend on the worker count, so the values are the
+same bits on any number of cores.  The block size is bounded by memory, not
+speed: what a worker thread frees stays resident in its malloc arena.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import NotPositiveDefiniteError
+from .errors import AccuracyError, NotPositiveDefiniteError
 from .gegenbauer import clamp_x
 from .spd import PointSet, gram_matrix, sparse_gram, support_chord
 from .zonal import ZonalKernel
@@ -36,7 +50,10 @@ from .zonal import ZonalKernel
 __all__ = ["Interpolant", "solve_interpolation", "evaluate_interpolant"]
 
 _REFINEMENT_ROUNDS = 3
-_QUERY_BLOCK = 1024
+#: queries per evaluation block, bounded by memory: on the interp benchmark's
+#: problems two threads peaked at 259, 257, 249 and 241 MiB RSS with blocks
+#: of 1024, 512, 256 and 128, against 227 MiB on one thread (CHANGES.md)
+_QUERY_BLOCK = 128
 #: CG solves a sparse M_X when n^3 > _DENSE_COST * nnz: measured, CG and
 #: Cholesky tie at n^3/nnz = 2.7e4 and CG wins 2.7x from 7e4 (CHANGES.md)
 _DENSE_COST = 50_000
@@ -79,9 +96,12 @@ def solve_interpolation(
     residual_tol that is negative or NaN raise ValueError.  A kernel that is
     not strictly PD on the points raises NotPositiveDefiniteError: from
     Cholesky with the failing pivot (counted in the sorted order on the
-    band), from CG (pivot 0) on non-positive curvature p.Mp.  Any route
-    raises it (pivot 0) on a missed contract; a system CG solves to contract
-    is returned, even if it is indefinite.
+    band), from CG (pivot 0) on a non-positive diagonal entry or curvature
+    p.Mp.  A Cholesky solution that misses the contract raises it too
+    (pivot 0); a CG solution that misses it raises AccuracyError with the
+    residual reached, since CG stops at _CG_MAX_ITER steps on a PD M_X as
+    well.  A system CG solves to contract is returned, even if it is
+    indefinite.
     """
     f = np.asarray(values, dtype=float)
     if f.shape != (len(pts),):
@@ -95,23 +115,23 @@ def solve_interpolation(
     # support pairs are close in every coordinate, so in the widest one's
     # order they form a band: 1557 wide of 4000 random S^2 points at N_3,
     # s = pi/8, against 3998 in the given order
-    order = np.argsort(pts.points[:, np.argmax(np.ptp(pts.points, axis=0))])
+    order = _widest_order(pts.points)
     m = sparse_gram(kernel, pts, order)
+    cg_steps = None
     if m is None:
         c, res_inf = _solve_cholesky(gram_matrix(kernel, pts), f)
     else:
         if len(pts) ** 3 > _DENSE_COST * m.nnz:
-            c_sorted, res_inf = _solve_cg(m.tocsr(), f[order])
+            c_sorted, res_inf, cg_steps = _solve_cg(m.tocsr(), f[order])
         else:
             c_sorted, res_inf = _solve_cholesky(m, f[order])
         c = np.empty_like(c_sorted)
         c[order] = c_sorted
     if not res_inf <= residual_tol * max(float(np.max(np.abs(f))), 1e-300):
-        raise NotPositiveDefiniteError(
-            f"solution residual {res_inf:.3e} exceeds {residual_tol:.1e} * ||f||; "
-            "Gram matrix is numerically singular",
-            pivot=0,
-        )
+        missed = f"solution residual {res_inf:.3e} exceeds {residual_tol:.1e} * ||f||"
+        if cg_steps is not None:
+            raise AccuracyError(f"CG did not converge in {cg_steps} iterations: {missed}", achieved=res_inf)
+        raise NotPositiveDefiniteError(f"{missed}; Gram matrix is numerically singular", pivot=0)
     return Interpolant(centers=pts, kernel=kernel, coefficients=c, residual_inf=res_inf)
 
 
@@ -174,46 +194,47 @@ def _lower_band(m) -> np.ndarray:
     return flat.reshape((b + 1, n), order="F")
 
 
-def _solve_cg(m, f: np.ndarray) -> tuple[np.ndarray, float]:
-    """Jacobi-preconditioned CG on a sparse M: c and ||f - M c||_inf.
+def _solve_cg(m, f: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """CG on a sparse M: c, ||f - M c||_inf and the number of steps taken.
 
     Stops at a recurrence residual <= _CG_RTOL * ||f||_inf or after
-    _CG_MAX_ITER steps.  A non-positive diagonal entry or curvature, which
-    no PD matrix has, raises NotPositiveDefiniteError (pivot 0).
+    _CG_MAX_ITER steps.  It is not preconditioned: every diagonal entry of
+    M_X is f(1), so Jacobi scaling would only scale the iterates.  A
+    non-positive diagonal entry or curvature, which no PD matrix has, raises
+    NotPositiveDefiniteError (pivot 0).
     """
-    diag = m.diagonal()
-    if not np.all(diag > 0.0):
+    if not np.all(m.diagonal() > 0.0):
         raise NotPositiveDefiniteError("Gram matrix has a non-positive diagonal entry", pivot=0)
-    inv_diag = 1.0 / diag
     c = np.zeros_like(f)
     r = f.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = r @ z
+    p = r.copy()
+    rr = r @ r
     stop = _CG_RTOL * float(np.max(np.abs(f), initial=0.0))
-    for _ in range(_CG_MAX_ITER):
-        if float(np.max(np.abs(r), initial=0.0)) <= stop:
-            break
+    steps = 0
+    while steps < _CG_MAX_ITER and float(np.max(np.abs(r), initial=0.0)) > stop:
+        steps += 1
         q = m @ p
         curvature = float(p @ q)
         if not curvature > 0.0:
             raise NotPositiveDefiniteError(f"CG met curvature p.Mp = {curvature:.3e}: kernel is not PD here", pivot=0)
-        alpha = rz / curvature
+        alpha = rr / curvature
         c += alpha * p
         r -= alpha * q
-        z = inv_diag * r
-        rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-    return c, float(np.max(np.abs(f - m @ c), initial=0.0))
+        rr, rr_old = r @ r, rr
+        p = r + (rr / rr_old) * p
+    return c, float(np.max(np.abs(f - m @ c), initial=0.0)), steps
 
 
 def evaluate_interpolant(itp: Interpolant, x) -> float | np.ndarray:
     """s(x) = sum_j c_j g(theta(x, x_j)) at one unit vector or a stack of them.
 
-    Queries go in blocks of _QUERY_BLOCK.  A locally supported g is summed
-    over each block's support pairs (_support_pair_sums); any other g over
-    the block's dot products with every center.  Non-unit (or NaN) query
-    points raise; there is no silent renormalization.
+    The queries are sorted along their widest coordinate and cut into blocks
+    of _QUERY_BLOCK, which _block_sums sums on min(_worker_count(), blocks)
+    threads (_map_on_threads); the values come back in the caller's order.
+    A locally supported g is summed over each block's support pairs
+    (_support_pair_sums); any other g over the block's dot products with
+    every center.  Non-unit (or NaN) query points raise; there is no silent
+    renormalization.
     """
     q = np.asarray(x, dtype=float)
     single = q.ndim == 1
@@ -224,21 +245,80 @@ def evaluate_interpolant(itp: Interpolant, x) -> float | np.ndarray:
     if not np.all(np.abs(norms - 1.0) <= 1e-12):
         raise ValueError("query points must be unit vectors within 1e-12")
     vals = np.empty(len(q))
-    edge = itp.kernel.support_edge
-    if edge > -1.0:
+    if len(q) == 0:
+        return vals
+    tree = None
+    if itp.kernel.support_edge > -1.0:
         # imported here: scipy.spatial at module level adds ~65 ms to `import sphkern`
         from scipy.spatial import cKDTree
 
         tree = cKDTree(itp.centers.points)
-    for start in range(0, len(q), _QUERY_BLOCK):
-        block = q[start : start + _QUERY_BLOCK]
-        if edge > -1.0:
-            block_vals = _support_pair_sums(itp, cKDTree(block), tree)
-        else:
-            x_block = _snap_pole(clamp_x(block @ itp.centers.points.T))
-            block_vals = itp.kernel(x_block) @ itp.coefficients
-        vals[start : start + _QUERY_BLOCK] = block_vals
+    order = _widest_order(q)
+    q = q[order]
+    blocks = [q[start : start + _QUERY_BLOCK] for start in range(0, len(q), _QUERY_BLOCK)]
+    sums = _map_on_threads(partial(_block_sums, itp, tree), blocks, min(_worker_count(), len(blocks)))
+    vals[order] = np.concatenate(sums)
     return float(vals[0]) if single else vals
+
+
+def _widest_order(points: np.ndarray) -> np.ndarray:
+    """Indices that sort points along their widest coordinate: nearby points
+    end up close in this order (a band of M_X, compact query blocks)."""
+    return np.argsort(points[:, np.argmax(np.ptp(points, axis=0))])
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _map_on_threads(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items] on `workers` threads: the caller and
+    workers - 1 pool threads take the items in turn from one queue.
+
+    The caller working too keeps one thread's malloc arena fewer resident.
+    An exception empties the queue, so the other threads stop after their
+    current item, and it is raised once every pool thread has finished.
+    """
+    if workers == 1:
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    todo = queue.SimpleQueue()
+    for k in range(len(items)):
+        todo.put(k)
+
+    def drain():
+        try:
+            while True:
+                try:
+                    k = todo.get_nowait()
+                except queue.Empty:
+                    return
+                results[k] = fn(items[k])
+        except BaseException:
+            with suppress(queue.Empty):
+                while True:
+                    todo.get_nowait()
+            raise
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+    for helper in helpers:
+        helper.result()
+    return results
+
+
+def _block_sums(itp: Interpolant, tree, block: np.ndarray) -> np.ndarray:
+    """s at each query of one block: over its support pairs with the centers
+    in `tree` (a kd-tree), or, with no tree, over its dot products with every
+    center."""
+    if tree is None:
+        return itp.kernel(_snap_pole(clamp_x(block @ itp.centers.points.T))) @ itp.coefficients
+    return _support_pair_sums(itp, block, tree)
 
 
 def _snap_pole(x: np.ndarray) -> np.ndarray:
@@ -248,9 +328,9 @@ def _snap_pole(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _support_pair_sums(itp: Interpolant, block_tree, tree) -> np.ndarray:
-    """s at each query in `block_tree` from its pairs with the centers in `tree`
-    (kd-trees) within spd.support_chord of the kernel's support edge.
+def _support_pair_sums(itp: Interpolant, block: np.ndarray, tree) -> np.ndarray:
+    """s at each query of `block` from its pairs with the centers in `tree`
+    (a kd-tree) within spd.support_chord of the kernel's support edge.
 
     x = 1 - v^2 / 2 from each pair's distance v has absolute error about
     eps (1 - x), no worse than a dot product's, and needs no gather of the
@@ -259,8 +339,10 @@ def _support_pair_sums(itp: Interpolant, block_tree, tree) -> np.ndarray:
     temporaries are updated in place: fresh pages cost about as much as the
     arithmetic.
     """
+    from scipy.spatial import cKDTree
+
     edge = itp.kernel.support_edge
-    pairs = block_tree.sparse_distance_matrix(tree, support_chord(edge), output_type="ndarray")
+    pairs = cKDTree(block).sparse_distance_matrix(tree, support_chord(edge), output_type="ndarray")
     x = pairs["v"] ** 2
     x *= -0.5
     x += 1.0
@@ -270,4 +352,4 @@ def _support_pair_sums(itp: Interpolant, block_tree, tree) -> np.ndarray:
         pairs, x = pairs[inside], x[inside]
     weights = itp.coefficients[pairs["j"]]
     weights *= itp.kernel(_snap_pole(x))
-    return np.bincount(pairs["i"], weights=weights, minlength=block_tree.n)
+    return np.bincount(pairs["i"], weights=weights, minlength=len(block))

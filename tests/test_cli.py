@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sphkern
+from sphkern import interpolation
 from sphkern.cli import main
 
 N3_DESC = json.dumps({"family": "cap_conv", "d": 3, "s": math.pi / 4})
@@ -280,6 +281,35 @@ class TestInterp:
             ["interp", "--points", str(pts_file), "--values", str(val_file), "--kernel", harmonic_desc]
         )
         assert rc == 3
+
+    def test_cg_cap_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(interpolation, "_CG_MAX_ITER", 3)
+        pts_file, val_file, _, _ = self._write_problem(tmp_path, n=4000)
+        capsys.readouterr()
+        narrow = json.dumps({"family": "cap_conv", "d": 3, "s": math.pi / 32})  # the CG route
+        rc = run_main(["interp", "--points", str(pts_file), "--values", str(val_file), "--kernel", narrow])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert "CG did not converge in 3 iterations" in captured.err and "singular" not in captured.err
+
+    def test_evaluation_is_byte_identical_on_1_and_3_workers(self, tmp_path, monkeypatch):
+        pts_file, val_file, _, _ = self._write_problem(tmp_path, n=500)
+        queries = tmp_path / "q.csv"
+        assert run_main(["gen-points", "--sphere-dim", "2", "--n", "1000", "--scheme", "random_seeded", "--out", str(queries)]) == 0
+        tables = []
+        for workers in (1, 3):
+            monkeypatch.setattr(interpolation, "_worker_count", lambda workers=workers: workers)
+            eval_out = tmp_path / f"eval{workers}.csv"
+            rc = run_main(
+                [
+                    "interp", "--points", str(pts_file), "--values", str(val_file), "--kernel", N3_DESC,
+                    "--out", str(tmp_path / "itp.json"), "--eval-points", str(queries), "--eval-out", str(eval_out),
+                ]
+            )
+            assert rc == 0
+            tables.append(eval_out.read_bytes())
+        assert tables[0] == tables[1] and tables[0].count(b"\n") == 1001
 
     def test_lonlat_ingestion(self, tmp_path):
         pts_file = tmp_path / "p.csv"

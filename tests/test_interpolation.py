@@ -2,6 +2,8 @@
 failure modes of non-SPD kernels."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,11 +14,12 @@ from scipy import sparse
 
 from sphkern import interpolation
 from sphkern.convolution import cap_indicator
-from sphkern.errors import NotPositiveDefiniteError
+from sphkern.errors import AccuracyError, EvaluationError, NotPositiveDefiniteError
 from sphkern.gegenbauer import GegenbauerParams
 from sphkern.interpolation import (
     _DENSE_COST,
     Interpolant,
+    _block_sums,
     _lower_band,
     _solve_cg,
     _solve_cholesky,
@@ -25,7 +28,7 @@ from sphkern.interpolation import (
 )
 from sphkern.kernels import CapConvKernel, MonteeIterate, TruncatedPower, kernel_from_descriptor
 from sphkern.spd import PointSet, generate_points, sparse_gram
-from sphkern.zonal import gegenbauer_kernel
+from sphkern.zonal import ZonalKernel, gegenbauer_kernel
 
 N3 = CapConvKernel(3, math.pi / 3).as_kernel()
 N5 = CapConvKernel(5, math.pi / 3).as_kernel()
@@ -124,12 +127,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_interpolant(itp, np.array([0.0, math.nan, 1.0]))
         q = generate_points(2, 3000, scheme="random_seeded", seed=4).points.copy()
-        q[2100] = math.nan  # in the third query block
+        q[2100] = math.nan  # every row is checked, not only the first block's
         with pytest.raises(ValueError):
             evaluate_interpolant(itp, q)
 
     def test_query_blocks_match_per_row_sums(self):
-        # 2500 queries: two full blocks of 1024 and a partial one
+        # 2500 queries: 19 full blocks and a partial one
         pts = generate_points(2, 200, scheme="fibonacci_s2")
         itp = solve_interpolation(pts, harmonic(pts.points), N3)
         q = generate_points(2, 2500, scheme="random_seeded", seed=8).points
@@ -184,9 +187,9 @@ def _record_pair_blocks(monkeypatch):
     blocks = []
     pair_sums = interpolation._support_pair_sums
 
-    def spy(itp, block_tree, tree):
-        blocks.append(block_tree.n)
-        return pair_sums(itp, block_tree, tree)
+    def spy(itp, block, tree):
+        blocks.append(len(block))
+        return pair_sums(itp, block, tree)
 
     monkeypatch.setattr(interpolation, "_support_pair_sums", spy)
     return blocks
@@ -211,7 +214,7 @@ class TestPairEvaluation:
         queries = np.vstack([p[::7], -p[::11], on_edge])
         blocks = _record_pair_blocks(monkeypatch)
         out = evaluate_interpolant(itp, queries)
-        assert blocks == [len(queries)]
+        assert len(queries) == 622 and sorted(blocks) == [110] + [128] * 4
         scale = np.sum(np.abs(itp.coefficients))
         assert np.max(np.abs(out - _dense_sums(itp, queries))) <= 1e-15 * scale
         # one center and a query at its antipode (x = -1): no pairs at all
@@ -227,7 +230,7 @@ class TestPairEvaluation:
         queries = generate_points(3, 1500, seed=2).points
         blocks = _record_pair_blocks(monkeypatch)
         out = evaluate_interpolant(itp, queries)
-        assert blocks == [1024, 476]
+        assert sorted(blocks) == [92] + [128] * 11
         assert np.max(np.abs(out - _dense_sums(itp, queries))) <= 1e-15 * np.sum(np.abs(itp.coefficients))
 
     def test_n3_partial_last_block(self, monkeypatch):
@@ -236,7 +239,7 @@ class TestPairEvaluation:
         queries = generate_points(2, 2100, seed=3).points
         blocks = _record_pair_blocks(monkeypatch)
         out = evaluate_interpolant(itp, queries)
-        assert blocks == [1024, 1024, 52]
+        assert sorted(blocks) == [52] + [128] * 16
         assert np.max(np.abs(out - _dense_sums(itp, queries))) <= 1e-15 * np.sum(np.abs(itp.coefficients))
 
     @pytest.mark.parametrize("kernel", [N3, gegenbauer_kernel(GegenbauerParams(0.5), 3)], ids=["pairs", "dense"])
@@ -267,6 +270,96 @@ class TestPairEvaluation:
             tracemalloc.stop()
         assert np.all(np.isfinite(out))
         assert peak < 16 * 2**20
+
+
+@pytest.fixture(params=["pairs", "dense"])
+def route_problem(request):
+    """A pair-route (N_3, s = pi/32) and a dense-route (no local support)
+    interpolant with random coefficients, and 1500 queries: 12 blocks."""
+    if request.param == "pairs":
+        kernel = CapConvKernel(3, math.pi / 32).as_kernel()
+        pts = generate_points(2, 2000, scheme="fibonacci_s2")
+    else:
+        kernel = gegenbauer_kernel(GegenbauerParams(0.5), 3)
+        pts = generate_points(2, 300, scheme="fibonacci_s2")
+    return _random_coefficients(pts, kernel), generate_points(2, 1500, seed=9).points
+
+
+def _block_threads(monkeypatch, workers: int):
+    """Force `workers` threads and spy on _block_sums: the thread each block
+    ran on.  Each thread's first block waits until every thread has one, so
+    all of them must take part."""
+    monkeypatch.setattr(interpolation, "_worker_count", lambda: workers)
+    threads = []
+    everyone = threading.Barrier(workers)
+
+    def spy(itp, tree, block):
+        if threading.get_ident() not in threads:
+            everyone.wait(timeout=30)
+        threads.append(threading.get_ident())
+        return _block_sums(itp, tree, block)
+
+    monkeypatch.setattr(interpolation, "_block_sums", spy)
+    return threads
+
+
+class TestThreadedEvaluation:
+    """Sorted query blocks summed by the caller and a thread pool, on both routes."""
+
+    def test_worker_count_changes_no_bit(self, monkeypatch, route_problem):
+        itp, queries = route_problem
+        outputs = []
+        for workers in (1, 2, 3):
+            threads = _block_threads(monkeypatch, workers)
+            outputs.append(evaluate_interpolant(itp, queries))
+            assert len(threads) == 12
+            assert len(set(threads)) == workers and threading.get_ident() in threads
+        assert outputs[0].tobytes() == outputs[1].tobytes() == outputs[2].tobytes()
+        scale = np.sum(np.abs(itp.coefficients))
+        assert np.max(np.abs(outputs[0] - _dense_sums(itp, queries))) <= 1e-15 * scale
+
+    def test_shuffled_queries_give_the_permuted_output(self, monkeypatch, route_problem):
+        itp, queries = route_problem
+        monkeypatch.setattr(interpolation, "_worker_count", lambda: 2)
+        perm = np.random.default_rng(10).permutation(len(queries))
+        out = evaluate_interpolant(itp, queries)
+        assert evaluate_interpolant(itp, queries[perm]).tobytes() == out[perm].tobytes()
+
+    def test_a_raising_block_raises_and_joins_its_workers(self, monkeypatch):
+        # the profile raises on the one block that holds a query at a center
+        n3 = CapConvKernel(3, math.pi / 32).as_kernel()
+        boom = EvaluationError("boom")
+
+        def profile(x):
+            if np.any(x == 1.0):
+                raise boom
+            return n3(x)
+
+        kernel = ZonalKernel(fn=profile, support_edge=n3.support_edge)
+        pts = generate_points(2, 2000, scheme="fibonacci_s2")
+        itp = _random_coefficients(pts, kernel)
+        queries = generate_points(2, 1500, seed=9).points
+        queries[700] = pts.points[1000]
+        threads = _block_threads(monkeypatch, 3)
+        before = set(threading.enumerate())
+        with pytest.raises(EvaluationError) as err:
+            evaluate_interpolant(itp, queries)
+        assert err.value is boom
+        assert set(threading.enumerate()) == before
+        assert len(set(threads)) == 3
+
+
+def test_map_on_threads_takes_each_item_once():
+    # more threads than cores, switching as often as the interpreter allows
+    calls = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = interpolation._map_on_threads(lambda k: calls.append(k) or k * k, list(range(500)), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [k * k for k in range(500)]
+    assert sorted(calls) == list(range(500))
 
 
 class TestEquivariance:
@@ -312,7 +405,7 @@ def _record_routes(monkeypatch):
     for name in ("_solve_cg", "_solve_cholesky"):
         def stub(m, f, name=name):
             routes.append(name)
-            return np.zeros_like(f), 0.0
+            return (np.zeros_like(f), 0.0, 0) if name == "_solve_cg" else (np.zeros_like(f), 0.0)
 
         monkeypatch.setattr(interpolation, name, stub)
     return routes
@@ -343,7 +436,7 @@ class TestSolveRoutes:
         pts = generate_points(2, 4000, scheme="fibonacci_s2")
         values = harmonic(pts.points) + 1.0
         m = sparse_gram(kernel, pts)
-        c_cg, res_cg = _solve_cg(m.tocsr(), values)
+        c_cg, res_cg, _ = _solve_cg(m.tocsr(), values)
         c_dense, res_dense = _solve_cholesky(m.toarray(), values)
         scale = np.max(np.abs(values))
         assert res_cg <= 1e-12 * scale and res_dense <= 1e-12 * scale
@@ -391,10 +484,27 @@ class TestSolveRoutes:
         with pytest.raises(NotPositiveDefiniteError):
             _solve_cg(-sparse_gram(kernel, pts).tocsr(), np.ones(100))
 
+    def test_cg_stops_at_the_cap_with_an_accuracy_error(self, monkeypatch):
+        monkeypatch.setattr(interpolation, "_CG_MAX_ITER", 3)
+        kernel = CapConvKernel(3, math.pi / 32).as_kernel()
+        pts = generate_points(2, 4000, scheme="fibonacci_s2")
+        values = harmonic(pts.points) + 1.0
+        with pytest.raises(AccuracyError, match="CG did not converge in 3 iterations") as err:
+            solve_interpolation(pts, values, kernel)
+        order = _sorted(pts)
+        _, res, steps = _solve_cg(sparse_gram(kernel, pts, order).tocsr(), values[order])
+        assert steps == 3 and err.value.achieved == res > 1e-9 * np.max(np.abs(values))
+
+    def test_cg_names_a_non_positive_diagonal(self):
+        # f(1) < 0: the guard fires before any CG step could meet the curvature
+        pts = generate_points(2, 100, scheme="fibonacci_s2")
+        with pytest.raises(NotPositiveDefiniteError, match="diagonal"):
+            _solve_cg(-sparse_gram(N3, pts).tocsr(), np.ones(100))
+
     def test_cg_zero_data(self):
         pts = generate_points(2, 100, scheme="fibonacci_s2")
-        c, res = _solve_cg(sparse_gram(N3, pts).tocsr(), np.zeros(100))
-        assert res == 0.0 and not np.any(c)
+        c, res, steps = _solve_cg(sparse_gram(N3, pts).tocsr(), np.zeros(100))
+        assert res == 0.0 and steps == 0 and not np.any(c)
 
     def test_twenty_thousand_points_go_through_cg(self, monkeypatch):
         kernel = CapConvKernel(3, math.pi / 32).as_kernel()
