@@ -9,9 +9,15 @@ solved by conjugate gradients when g's local support makes M_X sparse
 enough, else by Cholesky.  A locally supported g's M_X is assembled on the
 centers sorted along their widest coordinate, where it is a band, and the
 direct route factors that band (George and Liu, "Computer Solution of Large
-Sparse Positive Definite Systems", 1981); every other M_X is factored
-dense, which is also the test oracle.  No polynomial augmentation is added: the plain
-system is uniquely solvable exactly when g is strictly positive definite.
+Sparse Positive Definite Systems", 1981) in float32 and refines the solution
+against float64 residuals to the same residual as a float64 factor (Buttari
+et al., "Mixed precision iterative refinement techniques for the solution of
+dense linear systems", IJHPCA 2007): half the band's memory and about 0.6
+of its factorization time.  A float32 factor that fails, or whose refinement
+misses LAPACK dsposv's bound, gives way to a float64 factor of the band.
+Every other M_X is factored dense in float64, which is also the test
+oracle.  No polynomial augmentation is added: the plain system is uniquely
+solvable exactly when g is strictly positive definite.
 
 Evaluation follows the same split.  A locally supported s(x) only sums the
 centers inside the support cap around x: kd-trees of the centers and of each
@@ -32,6 +38,7 @@ speed: what a worker thread frees stays resident in its malloc arena.
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -50,6 +57,7 @@ from .zonal import ZonalKernel
 __all__ = ["Interpolant", "solve_interpolation", "evaluate_interpolant"]
 
 _REFINEMENT_ROUNDS = 3
+_MIXED_REFINEMENT_ROUNDS = 30  # LAPACK dsposv's ITERMAX
 #: queries per evaluation block, bounded by memory: on the interp benchmark's
 #: problems two threads peaked at 259, 257, 249 and 241 MiB RSS with blocks
 #: of 1024, 512, 256 and 128, against 227 MiB on one thread (CHANGES.md)
@@ -90,14 +98,15 @@ def solve_interpolation(
 
     A locally supported kernel's M_X (spd.sparse_gram) is assembled on the
     centers sorted along their widest coordinate and goes to CG when
-    n^3 > _DENSE_COST * nnz, else to a banded Cholesky in that order; a
-    kernel without local support to dense Cholesky.  Both Cholesky routes
+    n^3 > _DENSE_COST * nnz, else to a banded Cholesky in that order (a
+    float32 factor refined in float64, or a float64 one when that misses);
+    a kernel without local support to dense Cholesky.  Both Cholesky routes
     refine iteratively.  No points, values that are not finite, or a
     residual_tol that is negative or NaN raise ValueError.  A kernel that is
-    not strictly PD on the points raises NotPositiveDefiniteError: from
-    Cholesky with the failing pivot (counted in the sorted order on the
-    band), from CG (pivot 0) on a non-positive diagonal entry or curvature
-    p.Mp.  A Cholesky solution that misses the contract raises it too
+    not strictly PD on the points raises NotPositiveDefiniteError: from a
+    float64 Cholesky with the failing pivot (counted in the sorted order on
+    the band), from CG (pivot 0) on a non-positive diagonal entry or
+    curvature p.Mp.  A Cholesky solution that misses the contract raises it too
     (pivot 0); a CG solution that misses it raises AccuracyError with the
     residual reached, since CG stops at _CG_MAX_ITER steps on a PD M_X as
     well.  A system CG solves to contract is returned, even if it is
@@ -139,35 +148,66 @@ def _solve_cholesky(m, f: np.ndarray) -> tuple[np.ndarray, float]:
     """Cholesky with iterative refinement: c and ||f - M c||_inf.
 
     A dense ndarray is factored whole (dpotrf).  A sparse M (COO, as from
-    spd.sparse_gram) is factored as its lower band (dpbtrf), b = max(i - j)
-    over its pairs wide: O(n b^2) time and (b + 1) n storage, so the order of
-    its rows sets the cost.  Refinement multiplies by M in either form.
+    spd.sparse_gram) is factored as its lower band, b = max(i - j) over its
+    pairs wide: O(n b^2) time and (b + 1) n storage, so the order of its
+    rows sets the cost.  The band is factored in float32 (spbtrf) and the
+    float32 corrections are refined against float64 residuals, up to
+    _MIXED_REFINEMENT_ROUNDS times (Buttari et al., IJHPCA 2007, as in
+    LAPACK dsposv).  If spbtrf fails or the refined residual misses dsposv's
+    bound sqrt(n) eps ||M||_inf ||c||_inf, the float32 factor is freed and
+    the band is factored again in float64 (dpbtrf), so a kernel that is not
+    PD is reported from the float64 pivot.  Refinement multiplies by M in
+    its given form and stops once progress stalls.
     """
     if isinstance(m, np.ndarray):
         chol, info = lapack.dpotrf(m, lower=1)
-        triangular_solve = lapack.dpotrs
-    else:
-        chol, info = lapack.dpbtrf(_lower_band(m), lower=1, overwrite_ab=1)
-        triangular_solve = lapack.dpbtrs
+        _check_pivot(info)
+        return _refine(m, f, partial(_triangular_solve, lapack.dpotrs, chol), _REFINEMENT_ROUNDS)
+    chol, info = lapack.spbtrf(_lower_band(m, np.float32), lower=1, overwrite_ab=1)
+    if info == 0:
+        c, residual = _refine(m, f, partial(_triangular_solve, lapack.spbtrs, chol), _MIXED_REFINEMENT_ROUNDS)
+        # dlamch("E") = 2^-53, the eps of dsposv's bound
+        row_sums = np.bincount(m.row, weights=np.abs(m.data), minlength=len(f))
+        bound = math.sqrt(len(f)) * 2.0**-53 * float(np.max(row_sums)) * float(np.max(np.abs(c)))
+        if residual <= bound:
+            return c, residual
+    del chol  # freed before the float64 band is built
+    chol, info = lapack.dpbtrf(_lower_band(m, np.float64), lower=1, overwrite_ab=1)
+    _check_pivot(info)
+    return _refine(m, f, partial(_triangular_solve, lapack.dpbtrs, chol), _REFINEMENT_ROUNDS)
+
+
+def _check_pivot(info: int) -> None:
     if info != 0:
         raise NotPositiveDefiniteError(
             f"Cholesky failed at pivot {info}: kernel is not positive definite on this point set",
             pivot=int(info),
         )
 
-    def solve(rhs):
-        sol, sinfo = triangular_solve(chol, rhs, lower=1)
-        if sinfo != 0:
-            raise RuntimeError(f"triangular solve failed with info={sinfo}")
-        return sol
 
+def _triangular_solve(potrs, chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """M^-1 rhs in float64 from a Cholesky factor of M in chol's precision.
+
+    rhs is solved for divided by a power of two near its largest entry,
+    which is exact and keeps it inside float32's range at any data scale.
+    """
+    scale = 2.0 ** math.frexp(float(np.max(np.abs(rhs), initial=0.0)))[1]
+    sol, info = potrs(chol, (rhs / scale).astype(chol.dtype, copy=False), lower=1)
+    if info != 0:
+        raise RuntimeError(f"triangular solve failed with info={info}")
+    return scale * sol.astype(float, copy=False)
+
+
+def _refine(m, f: np.ndarray, solve, rounds: int) -> tuple[np.ndarray, float]:
+    """c = solve(f), refined at most `rounds` times by c += solve(f - M c):
+    c and ||f - M c||_inf.  Refinement runs toward machine level (rotated or
+    permuted problems then agree far below the contract tolerance) and stops
+    at 4 eps ||f||_inf or once a round fails to lower the residual."""
     c = solve(f)
     scale = float(np.max(np.abs(f), initial=0.0))
-    # refine toward machine level (rotated/permuted problems then agree far
-    # below the contract tolerance), stopping once progress stalls
     residual = f - m @ c
     best = float(np.max(np.abs(residual), initial=0.0))
-    for _ in range(_REFINEMENT_ROUNDS):
+    for _ in range(rounds):
         if best <= 4.0 * np.finfo(float).eps * max(scale, 1e-300):
             break
         trial = c + solve(residual)
@@ -179,10 +219,11 @@ def _solve_cholesky(m, f: np.ndarray) -> tuple[np.ndarray, float]:
     return c, best
 
 
-def _lower_band(m) -> np.ndarray:
+def _lower_band(m, dtype=np.float32) -> np.ndarray:
     """LAPACK lower band storage of a symmetric COO matrix: ab[i - j, j] = M[i, j]
-    for i >= j, shape (b + 1, n), in Fortran order so that f2py passes it to
-    dpbtrf without a copy.  Duplicate entries add up, as in m @ x."""
+    for i >= j, shape (b + 1, n), of `dtype` and in Fortran order so that
+    f2py passes it to ?pbtrf without a copy.  Duplicate entries add up, as in
+    m @ x; no band of another dtype is formed on the way."""
     lower = m.row >= m.col
     flat_index = m.col[lower]  # j, then j (b + 1) + i - j: column-major in the band
     depth = m.row[lower] - flat_index
@@ -190,7 +231,8 @@ def _lower_band(m) -> np.ndarray:
     flat_index *= b + 1
     flat_index += depth
     n = m.shape[0]
-    flat = np.bincount(flat_index, weights=m.data[lower], minlength=(b + 1) * n)
+    flat = np.zeros((b + 1) * n, dtype=dtype)
+    np.add.at(flat, flat_index, m.data[lower].astype(dtype, copy=False))
     return flat.reshape((b + 1, n), order="F")
 
 

@@ -412,10 +412,17 @@ def cap_kernel_coefficients(d: int, s: float) -> CapCoeffs:
     return CapCoeffs(dim=d, s=s, a=a, products=products)
 
 
+@lru_cache(maxsize=256)
+def _cap_coefficients(d: int, s: float) -> CapCoeffs:
+    """cap_kernel_coefficients(d, s), computed once per (d, s): an evaluation
+    in query blocks calls eval_cap_kernel once per block."""
+    return cap_kernel_coefficients(d, s)
+
+
 @on_interval
 def eval_cap_kernel(d: int, s: float, x):
     """N_d(x): zero for x <= cos(2s), exactly 1 at x = 1."""
-    coeffs = cap_kernel_coefficients(d, s)
+    coeffs = _cap_coefficients(d, s)
     out = np.zeros_like(x)
     edge = math.cos(2.0 * s)
     idx = x > edge

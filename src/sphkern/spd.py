@@ -253,7 +253,8 @@ def sparse_gram(f: ZonalKernel, pts: PointSet, order=None):
     # one coordinate at a time: gathering whole rows would copy (d+1) x pairs
     x = clamp_x(sum(coord[i] * coord[j] for coord in points.T))
     keep = x >= f.support_edge
-    i, j, x = i[keep], j[keep], x[keep]
+    if not keep.all():  # the widened chord admitted pairs past the edge
+        i, j, x = i[keep], j[keep], x[keep]
     v = np.asarray(f(x), dtype=float)
     rows, cols = np.concatenate([i, j, np.arange(n)]), np.concatenate([j, i, np.arange(n)])
     return sparse.coo_matrix((np.concatenate([v, v, np.full(n, f(1.0))]), (rows, cols)), shape=(n, n))

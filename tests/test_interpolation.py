@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg import lapack
 
 from sphkern import interpolation
 from sphkern.convolution import cap_indicator
@@ -458,7 +459,7 @@ class TestSolveRoutes:
         finally:
             tracemalloc.stop()
         assert itp.residual_inf <= 1e-12 * np.max(np.abs(values))
-        assert peak < 160 * 2**20  # 113 MiB measured
+        assert peak < 160 * 2**20  # 96 MiB measured
 
     def test_band_detects_a_kernel_that_is_not_pd(self):
         # f_1 is not PD on S^2: its Gram matrix here has eigenvalue -0.37
@@ -541,6 +542,14 @@ def _band_problem(name):
     if name == "antipodal":
         pts = PointSet(d=2, points=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
         return pts, N3, np.array([2.0, -3.0])
+    if name == "near_duplicate":
+        # 3000 random S^2 points, the second moved to 1e-6 from the first:
+        # kappa(M_X) = 5.2e7 for N_3 at s = pi/8 (eigvalsh)
+        p = generate_points(2, 3000, seed=5).points.copy()
+        tangent = np.cross(p[0], [0.0, 0.0, 1.0])
+        p[1] = math.cos(1e-6) * p[0] + math.sin(1e-6) * tangent / np.linalg.norm(tangent)
+        pts = PointSet(d=2, points=p)
+        return pts, CapConvKernel(3, math.pi / 8).as_kernel(), harmonic(p) + 1.0
     if name == "beyond_support":
         # octahedron vertices, pi/2 apart; N_3 at s = pi/8 reaches pi/4
         pts = PointSet(d=2, points=np.vstack([np.eye(3), -np.eye(3)]))
@@ -591,3 +600,85 @@ class TestBandedCholesky:
             for j in range(max(0, i - 2), i + 1):
                 assert ab[i - j, j] == dense[i, j]
         assert ab[1, 3] == 0.0 and ab[2, 2] == 0.0 and ab[2, 3] == 0.0  # past the last row
+
+
+def _spy_on_dpbtrf(monkeypatch) -> list:
+    """Record the shape of each band that is factored in float64."""
+    calls = []
+    dpbtrf = lapack.dpbtrf
+
+    def spy(ab, *args, **kwargs):
+        calls.append(ab.shape)
+        return dpbtrf(ab, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dpbtrf", spy)
+    return calls
+
+
+class TestMixedPrecisionBand:
+    """The band factored in float32 and refined in float64, and the fallback
+    to a float64 band factor when that misses."""
+
+    @pytest.mark.parametrize("name", ["n3_wide", "i2f4_s3", "near_duplicate"])
+    def test_float32_factor_reaches_the_contract(self, monkeypatch, name):
+        pts, kernel, values = _band_problem(name)
+        order = _sorted(pts)
+        m = sparse_gram(kernel, pts, order)
+        f = values[order]
+        calls = _spy_on_dpbtrf(monkeypatch)
+        c, res = _solve_cholesky(m, f)
+        assert calls == []
+        assert res <= 1e-12 * np.max(np.abs(f))
+        again, res_again = _solve_cholesky(m, f)
+        assert np.array_equal(c, again) and res == res_again
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e39, 1e300])
+    def test_float32_factor_at_any_data_scale(self, monkeypatch, scale):
+        # float32 ends at 3.4e38; data past it, or far below, is still solved
+        # on the float32 factor, with no overflow in a cast
+        pts = generate_points(2, 500, scheme="fibonacci_s2")
+        m = sparse_gram(CapConvKernel(3, math.pi / 8).as_kernel(), pts)
+        f = scale * (harmonic(pts.points) + 1.0)
+        calls = _spy_on_dpbtrf(monkeypatch)
+        _, res = _solve_cholesky(m, f)
+        assert calls == [] and res <= 1e-12 * np.max(np.abs(f))
+
+    def _falls_back(self, monkeypatch, dense: np.ndarray, spbtrf_info: int, solution):
+        m = sparse.coo_matrix(dense)
+        assert lapack.spbtrf(_lower_band(m), lower=1)[1] == spbtrf_info
+        f = dense @ np.array(solution)
+        calls = _spy_on_dpbtrf(monkeypatch)
+        c, res = _solve_cholesky(m, f)
+        assert calls == [(2, 2)]
+        c_dense, res_dense = _solve_cholesky(dense, f)
+        scale = np.max(np.abs(f))
+        assert res <= 1e-12 * scale and res_dense <= 1e-12 * scale
+        assert np.max(np.abs(dense @ (c - c_dense))) <= 1e-12 * scale
+        # kappa eps: the forward error both solutions may have
+        assert np.max(np.abs(c - c_dense)) <= 1e-6 * np.max(np.abs(c_dense))
+
+    def test_float32_singular_band_falls_back(self, monkeypatch):
+        # 1 - 1e-9 rounds to 1 in float32, where M is singular (spbtrf stops
+        # at pivot 2); in float64 M is PD with kappa = 2.0e9
+        a = 1.0 - 1e-9
+        self._falls_back(monkeypatch, np.array([[1.0, a], [a, 1.0]]), spbtrf_info=2, solution=[1.0, 2.0])
+
+    def test_refinement_that_misses_the_bound_falls_back(self, monkeypatch):
+        # kappa = 3.3e9, and the float32 rounding of M is PD with smallest
+        # eigenvalue 2.5e-8 against M's 5.5e-10: its factor is too far from
+        # M for refinement along that eigenvector, about (0.67, -0.74).
+        # With c = (1, -1), mostly along it, refinement stalls at a residual
+        # of 9e-9 ||f||, far above dsposv's bound sqrt(n) eps ||M|| ||c|| =
+        # 5e-16 ||f||
+        dense = np.array([[1.0, 0.9], [0.9, 0.81 + 1e-9]])
+        self._falls_back(monkeypatch, dense, spbtrf_info=0, solution=[1.0, -1.0])
+
+    def test_not_pd_is_reported_from_the_float64_factor(self, monkeypatch):
+        # f_1 on 500 lattice points, as in TestSolveRoutes: the pivot comes
+        # from dpbtrf in the sorted order, whatever spbtrf met first
+        kernel = TruncatedPower(1, math.pi / 4).as_kernel()
+        pts = generate_points(2, 500, scheme="fibonacci_s2")
+        calls = _spy_on_dpbtrf(monkeypatch)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            solve_interpolation(pts, harmonic(pts.points) + 1.0, kernel)
+        assert err.value.pivot == 56 and len(calls) == 1

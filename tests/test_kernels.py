@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphkern import kernels
 from sphkern.kernels import (
     CLOSED_FORM_TAGS,
     CapConvKernel,
@@ -255,6 +256,24 @@ class TestCapKernels:
 
     def test_support_zero(self):
         assert eval_cap_kernel(9, 0.6, math.cos(1.3)) == 0.0
+
+    def test_coefficients_are_computed_once_per_kernel(self, monkeypatch):
+        # an interpolant evaluated in query blocks calls eval_cap_kernel once a block
+        calls = []
+
+        def counted(d, s):
+            calls.append((d, s))
+            return cap_kernel_coefficients(d, s)
+
+        kernel = CapConvKernel(5, 0.6).as_kernel()
+        kernels._cap_coefficients.cache_clear()
+        monkeypatch.setattr(kernels, "cap_kernel_coefficients", counted)
+        xs = np.linspace(-1.0, 1.0, 101)
+        first = kernel(xs)
+        for _ in range(3):
+            assert np.array_equal(kernel(xs), first)
+        assert np.array_equal(eval_cap_kernel(5, 0.6, xs), first)
+        assert calls == [(5, 0.6)]
 
     @pytest.mark.parametrize("d", (3, 5, 7, 9))
     def test_continuity_and_observed_nonnegativity(self, d):

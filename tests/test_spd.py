@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sphkern.convolution import cap_indicator, dimension_hop_conv
 from sphkern.gegenbauer import GegenbauerParams, transform, series_eval
 from sphkern.kernels import CapConvKernel, TruncatedPower
-from sphkern.spd import PointSet, _max_neighbour_cos, classify, generate_points, gram_matrix, gram_min_eig
+from sphkern.spd import PointSet, _max_neighbour_cos, classify, generate_points, gram_matrix, gram_min_eig, sparse_gram
 from sphkern.zonal import ZonalKernel, gegenbauer_kernel
 
 P0 = GegenbauerParams(0.0)
@@ -162,6 +162,9 @@ class TestGram:
         m = gram_matrix(kernel, pts)
         assert np.array_equal(m[0], (np.clip(dots[0], -1.0, 1.0) >= c).astype(float))
         assert np.sum(m[0, 1:] == 1.0) > 0
+        # pairs the widened chord admits past the edge (26 at c = -0.2) are
+        # dropped, not stored as zeros
+        assert np.all(sparse_gram(kernel, pts).data == 1.0)
 
     def test_schoenberg_direction_on_truncated_series(self):
         # a series kernel with nonnegative coefficients is PSD up to tail noise
