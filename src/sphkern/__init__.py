@@ -19,7 +19,6 @@ from .gegenbauer import (
     SeriesCoeffs,
     eval_gegenbauer,
     eval_gegenbauer_derivative,
-    fourier_coeff,
     gegenbauer_at_one,
     norm_h,
     quadrature_rule,

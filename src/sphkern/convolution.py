@@ -76,7 +76,7 @@ def _cap_power(c: float, k: int) -> ZonalKernel:
     scale = 1.0 / math.factorial(k)
     deriv = cap_indicator(c) if k == 1 else _cap_power(c, k - 1)
     return ZonalKernel(
-        fn=lambda x: scale * np.maximum(x - c, 0.0) ** k,
+        fn=lambda x: scale * (x - c) ** k,  # x - c >= 0, and exactly 0 at the edge
         name=f"I^{k} cap({c:g})",
         breakpoints=(c,),
         derivative=deriv,
@@ -90,7 +90,7 @@ def cap_indicator(c: float) -> ZonalKernel:
     if not (-1.0 < c < 1.0):
         raise ValueError(f"cap parameter must lie in (-1, 1), got {c}")
     return ZonalKernel(
-        fn=lambda x: (x >= c).astype(float),
+        fn=np.ones_like,
         name=f"cap({c:g})",
         breakpoints=(c,),
         antiderivative_fn=lambda: _cap_power(c, 1),

@@ -37,7 +37,6 @@ __all__ = [
     "norm_h",
     "weight_w",
     "quadrature_rule",
-    "fourier_coeff",
     "transform",
     "series_eval",
     "moment",
@@ -93,12 +92,6 @@ class GegenbauerParams:
     def __post_init__(self):
         if not (self.lam >= 0.0) or not math.isfinite(self.lam):
             raise ValueError(f"lambda must be a finite nonnegative real, got {self.lam}")
-
-    @classmethod
-    def for_sphere(cls, d: int) -> "GegenbauerParams":
-        if d < 1:
-            raise ValueError("sphere dimension must be >= 1")
-        return cls((d - 1) / 2.0)
 
     @property
     def sphere_dim(self) -> float:
@@ -304,11 +297,6 @@ def transform(f, params: GegenbauerParams, n_max: int, order: int = 256) -> "Ser
     table = _w_table(params, n_max, x)
     coeffs = table @ (wq * fx)
     return SeriesCoeffs(params=params, coeffs=coeffs, truncation=n_max)
-
-
-def fourier_coeff(f, params: GegenbauerParams, n: int, order: int = 256) -> float:
-    """Single Fourier-Gegenbauer coefficient fhat_lam(n)."""
-    return float(transform(f, params, n, order=order).coeffs[n])
 
 
 @dataclass(frozen=True)

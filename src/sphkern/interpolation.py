@@ -12,9 +12,9 @@ direct route factors that band (George and Liu, "Computer Solution of Large
 Sparse Positive Definite Systems", 1981) in float32 and refines the solution
 against float64 residuals to the same residual as a float64 factor (Buttari
 et al., "Mixed precision iterative refinement techniques for the solution of
-dense linear systems", IJHPCA 2007): half the band's memory and about 0.6
-of its factorization time.  A float32 factor that fails, or whose refinement
-misses LAPACK dsposv's bound, gives way to a float64 factor of the band.
+dense linear systems", IJHPCA 2007), which halves the band's memory.  A
+float32 factor that fails, or whose refinement misses LAPACK dsposv's
+bound, gives way to a float64 factor of the band.
 Every other M_X is factored dense in float64, which is also the test
 oracle.  No polynomial augmentation is added: the plain system is uniquely
 solvable exactly when g is strictly positive definite.
@@ -50,7 +50,6 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import AccuracyError, NotPositiveDefiniteError
-from .gegenbauer import clamp_x
 from .spd import PointSet, gram_matrix, sparse_gram, support_chord
 from .zonal import ZonalKernel
 
@@ -58,12 +57,11 @@ __all__ = ["Interpolant", "solve_interpolation", "evaluate_interpolant"]
 
 _REFINEMENT_ROUNDS = 3
 _MIXED_REFINEMENT_ROUNDS = 30  # LAPACK dsposv's ITERMAX
-#: queries per evaluation block, bounded by memory: on the interp benchmark's
-#: problems two threads peaked at 259, 257, 249 and 241 MiB RSS with blocks
-#: of 1024, 512, 256 and 128, against 227 MiB on one thread (CHANGES.md)
+#: queries per evaluation block, bounded by memory: what a worker thread
+#: frees stays resident in its malloc arena, so larger blocks raise peak RSS
 _QUERY_BLOCK = 128
-#: CG solves a sparse M_X when n^3 > _DENSE_COST * nnz: measured, CG and
-#: Cholesky tie at n^3/nnz = 2.7e4 and CG wins 2.7x from 7e4 (CHANGES.md)
+#: CG solves a sparse M_X when n^3 > _DENSE_COST * nnz, past the measured
+#: tie of CG and Cholesky (CHANGES.md)
 _DENSE_COST = 50_000
 _CG_RTOL = 1e-13
 _CG_MAX_ITER = 2000  # ~10x the most iterations seen (232 at n = 10^5)
@@ -122,8 +120,7 @@ def solve_interpolation(
     if not residual_tol >= 0.0:  # NaN fails too
         raise ValueError(f"residual tolerance must be a non-negative number, got {residual_tol}")
     # support pairs are close in every coordinate, so in the widest one's
-    # order they form a band: 1557 wide of 4000 random S^2 points at N_3,
-    # s = pi/8, against 3998 in the given order
+    # order they form a band
     order = _widest_order(pts.points)
     m = sparse_gram(kernel, pts, order)
     cg_steps = None
@@ -359,7 +356,7 @@ def _block_sums(itp: Interpolant, tree, block: np.ndarray) -> np.ndarray:
     in `tree` (a kd-tree), or, with no tree, over its dot products with every
     center."""
     if tree is None:
-        return itp.kernel(_snap_pole(clamp_x(block @ itp.centers.points.T))) @ itp.coefficients
+        return itp.kernel(_snap_pole(block @ itp.centers.points.T)) @ itp.coefficients
     return _support_pair_sums(itp, block, tree)
 
 
@@ -376,22 +373,17 @@ def _support_pair_sums(itp: Interpolant, block: np.ndarray, tree) -> np.ndarray:
 
     x = 1 - v^2 / 2 from each pair's distance v has absolute error about
     eps (1 - x), no worse than a dot product's, and needs no gather of the
-    points.  Pairs past the edge, which the widening of the chord admits,
-    are dropped.  Memory is O(pairs), never queries x centers, and the
+    points.  The pairs past the edge that the widening of the chord admits
+    add c 0.0.  Memory is O(pairs), never queries x centers, and the
     temporaries are updated in place: fresh pages cost about as much as the
     arithmetic.
     """
     from scipy.spatial import cKDTree
 
-    edge = itp.kernel.support_edge
-    pairs = cKDTree(block).sparse_distance_matrix(tree, support_chord(edge), output_type="ndarray")
+    pairs = cKDTree(block).sparse_distance_matrix(tree, support_chord(itp.kernel.support_edge), output_type="ndarray")
     x = pairs["v"] ** 2
     x *= -0.5
     x += 1.0
-    x = clamp_x(x)
-    inside = x >= edge
-    if not inside.all():
-        pairs, x = pairs[inside], x[inside]
     weights = itp.coefficients[pairs["j"]]
     weights *= itp.kernel(_snap_pole(x))
     return np.bincount(pairs["i"], weights=weights, minlength=len(block))

@@ -67,7 +67,7 @@ class TruncatedPower:
     def as_kernel(self) -> ZonalKernel:
         m, t = self.m, self.t
         return ZonalKernel(
-            fn=lambda x: eval_truncated_power(self, x),
+            fn=lambda x: _angle_profile(x, t, lambda theta: (t - theta) ** m),
             name=f"f_{m}(t={t:g})",
             breakpoints=(math.cos(t), 1.0),
             antiderivative_fn=lambda: MonteeIterate(self, 1).as_kernel(),
@@ -79,7 +79,17 @@ class TruncatedPower:
 @on_interval
 def eval_truncated_power(k: TruncatedPower, x):
     """(t - arccos x)^m_+ for a TruncatedPower k."""
-    return np.maximum(k.t - np.arccos(x), 0.0) ** k.m
+    return k.as_kernel()(x)
+
+
+def _angle_profile(x: np.ndarray, t: float, formula) -> np.ndarray:
+    """formula(arccos x) on [cos t, 1], exactly 0 at the edge x = cos t and
+    where arccos rounds x a few ulp above it onto or past t: the formula
+    leaves roundoff there."""
+    theta = np.arccos(x)
+    out = formula(theta)
+    out[(x == math.cos(t)) | (theta >= t)] = 0.0
+    return out
 
 
 @on_interval
@@ -305,7 +315,7 @@ class MonteeIterate:
         m, t, k = self.base.m, self.base.t, self.k
         derivative = self.base.as_kernel() if k == 1 else MonteeIterate(self.base, k - 1).as_kernel()
         return ZonalKernel(
-            fn=self,
+            fn=lambda x: _angle_profile(x, t, lambda theta: _montee_terms(m, t, k)(theta, t)),
             name=f"I^{k} f_{m}(t={t:g})",
             breakpoints=(math.cos(t), 1.0),
             derivative=derivative,
@@ -316,9 +326,7 @@ class MonteeIterate:
 
     @on_interval
     def __call__(self, x):
-        m, t = self.base.m, self.base.t
-        theta = np.arccos(x)
-        return np.where(theta < t, _montee_terms(m, t, self.k)(theta, t), 0.0)
+        return self.as_kernel()(x)
 
 
 # ---------------------------------------------------------------------------
@@ -415,38 +423,38 @@ def cap_kernel_coefficients(d: int, s: float) -> CapCoeffs:
 @lru_cache(maxsize=256)
 def _cap_coefficients(d: int, s: float) -> CapCoeffs:
     """cap_kernel_coefficients(d, s), computed once per (d, s): an evaluation
-    in query blocks calls eval_cap_kernel once per block."""
+    in query blocks calls the kernel once per block."""
     return cap_kernel_coefficients(d, s)
 
 
 @on_interval
 def eval_cap_kernel(d: int, s: float, x):
     """N_d(x): zero for x <= cos(2s), exactly 1 at x = 1."""
+    return CapConvKernel(d, s).as_kernel()(x)
+
+
+def _cap_profile(d: int, s: float, x: np.ndarray) -> np.ndarray:
+    """N_d on [cos 2s, 1], exactly 0 at the edge, where the formula leaves roundoff."""
     coeffs = _cap_coefficients(d, s)
-    out = np.zeros_like(x)
-    edge = math.cos(2.0 * s)
-    idx = x > edge
-    if np.any(idx):
-        xi = x[idx]
-        theta = np.arccos(xi)
-        # tan(theta/2) = sqrt((1-x)/(1+x)) without the cancellation in 1-x near x = 1
-        q = 0.5 * theta
-        np.tan(q, out=q)
-        poly = coeffs.d
-        if d >= 5:
-            v = 1.0 + xi
-            poly = poly + coeffs.e / v
-        if d >= 7:
-            poly = poly + coeffs.f / v**2
-        if d >= 9:
-            poly = poly + coeffs.h / v**3
-        # 1 + b theta + q poly, in place: fresh temporaries cost page faults
-        q *= poly
-        theta *= coeffs.b
-        theta += 1.0
-        theta += q
-        out[idx] = theta
-    return out
+    theta = np.arccos(x)
+    # tan(theta/2) = sqrt((1-x)/(1+x)) without the cancellation in 1-x near x = 1
+    q = 0.5 * theta
+    np.tan(q, out=q)
+    poly = coeffs.d
+    if d >= 5:
+        v = 1.0 + x
+        poly = poly + coeffs.e / v
+    if d >= 7:
+        poly = poly + coeffs.f / v**2
+    if d >= 9:
+        poly = poly + coeffs.h / v**3
+    # 1 + b theta + q poly, in place: fresh temporaries cost page faults
+    q *= poly
+    theta *= coeffs.b
+    theta += 1.0
+    theta += q
+    theta[x == math.cos(2.0 * s)] = 0.0
+    return theta
 
 
 @dataclass(frozen=True)
@@ -456,15 +464,15 @@ class CapConvKernel:
     d: int
     s: float
 
-    @cached_property
+    @property
     def coeffs(self) -> CapCoeffs:
-        return cap_kernel_coefficients(self.d, self.s)
+        return _cap_coefficients(self.d, self.s)
 
     def as_kernel(self) -> ZonalKernel:
         d, s = self.d, self.s
         self.coeffs  # validate range and positivity before returning
         return ZonalKernel(
-            fn=lambda x: eval_cap_kernel(d, s, x),
+            fn=lambda x: _cap_profile(d, s, x),
             name=f"N_{d}(s={s:g})",
             breakpoints=(math.cos(2.0 * s), 1.0),
             descriptor={"family": "cap_conv", "d": d, "s": s},
@@ -472,7 +480,7 @@ class CapConvKernel:
         )
 
     def __call__(self, x):
-        return eval_cap_kernel(self.d, self.s, x)
+        return self.as_kernel()(x)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import GegenbauerParams, SeriesCoeffs, clamp_x, transform
+from .gegenbauer import GegenbauerParams, SeriesCoeffs, transform
 from .zonal import ZonalKernel
 
 __all__ = [
@@ -248,20 +248,22 @@ def sparse_gram(f: ZonalKernel, pts: PointSet, order=None):
 
     points = pts.points if order is None else pts.points[order]
     n = len(points)
-    pairs = cKDTree(points).query_pairs(support_chord(f.support_edge), output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
+    chord = support_chord(f.support_edge)
+    # int32 indices from the start, which coo_matrix keeps uncopied
+    i, j = np.ascontiguousarray(cKDTree(points).query_pairs(chord, output_type="ndarray").T, dtype=np.int32)
     # one coordinate at a time: gathering whole rows would copy (d+1) x pairs
-    x = clamp_x(sum(coord[i] * coord[j] for coord in points.T))
+    x = sum(coord[i] * coord[j] for coord in points.T)
     keep = x >= f.support_edge
-    if not keep.all():  # the widened chord admitted pairs past the edge
+    if not keep.all():  # f is 0 past the edge, and M_X stores no explicit zeros
         i, j, x = i[keep], j[keep], x[keep]
-    v = np.asarray(f(x), dtype=float)
-    rows, cols = np.concatenate([i, j, np.arange(n)]), np.concatenate([j, i, np.arange(n)])
+    v = f(x)
+    diag = np.arange(n, dtype=np.int32)
+    rows, cols = np.concatenate([i, j, diag]), np.concatenate([j, i, diag])
     return sparse.coo_matrix((np.concatenate([v, v, np.full(n, f(1.0))]), (rows, cols)), shape=(n, n))
 
 
 def gram_matrix(f: ZonalKernel, pts: PointSet) -> np.ndarray:
-    """M_X = [f(x_i . x_j)]; geodesic distances enter through clamped dots.
+    """M_X = [f(x_i . x_j)]; geodesic distances enter through dots, which f clamps.
 
     Self-dots of unit vectors equal 1 exactly, so the diagonal is pinned to
     f(1): profiles with a sqrt-type cusp at x = 1 (every compactly supported
@@ -271,9 +273,9 @@ def gram_matrix(f: ZonalKernel, pts: PointSet) -> np.ndarray:
     m = sparse_gram(f, pts)
     if m is not None:
         return m.toarray()
-    gram = clamp_x(pts.points @ pts.points.T)
+    gram = pts.points @ pts.points.T
     np.fill_diagonal(gram, 1.0)
-    return np.asarray(f(gram), dtype=float)
+    return f(gram)
 
 
 def gram_min_eig(f: ZonalKernel, pts: PointSet) -> float:

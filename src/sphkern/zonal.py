@@ -2,8 +2,12 @@
 
 A zonal kernel on S^d is represented by its profile f on [-1, 1]; the kernel
 value between points x, y on the sphere is f(x . y) = f(cos geodesic).
-Calling a kernel applies the package's x rule (gegenbauer.on_interval), so
-``fn`` always receives a clamped float array of at least one dimension.
+Calling a kernel applies the package's input rules once, so each family
+keeps only its formula: x is clamped into [-1, 1] (gegenbauer.on_interval),
+and x < ``support_edge`` gives 0 with no call of ``fn``.  ``fn`` is the
+profile on [support_edge, 1]; input wholly inside the support reaches it as
+the clamped array itself, which it must not write to.  At x == edge a
+continuous profile returns exactly 0.0, an indicator 1.0.
 
 Kernels carry structural metadata used throughout the package:
 
@@ -50,6 +54,12 @@ class ZonalKernel:
 
     @on_interval
     def __call__(self, x):
+        edge = self.support_edge
+        if edge > -1.0 and x.min(initial=edge) < edge:
+            out = np.zeros(x.shape)
+            inside = x >= edge
+            out[inside] = self.fn(x[inside])
+            return out
         return np.asarray(self.fn(x), dtype=float)
 
     def interior_breakpoints(self) -> tuple:

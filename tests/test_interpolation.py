@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import lapack
+from scipy.spatial import cKDTree
 
 from sphkern import interpolation
 from sphkern.convolution import cap_indicator
@@ -24,11 +25,12 @@ from sphkern.interpolation import (
     _lower_band,
     _solve_cg,
     _solve_cholesky,
+    _support_pair_sums,
     evaluate_interpolant,
     solve_interpolation,
 )
 from sphkern.kernels import CapConvKernel, MonteeIterate, TruncatedPower, kernel_from_descriptor
-from sphkern.spd import PointSet, generate_points, sparse_gram
+from sphkern.spd import PointSet, generate_points, sparse_gram, support_chord
 from sphkern.zonal import ZonalKernel, gegenbauer_kernel
 
 N3 = CapConvKernel(3, math.pi / 3).as_kernel()
@@ -248,6 +250,26 @@ class TestPairEvaluation:
         itp = _random_coefficients(generate_points(2, 50, scheme="fibonacci_s2"), kernel)
         out = evaluate_interpolant(itp, np.empty((0, 3)))
         assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_pairs_past_the_edge_add_nothing(self):
+        # chi_[c,1] reads 1 on its whole support, so a pair past the edge
+        # that reached the profile would add its full coefficient
+        c = math.cos(0.5)
+        kernel = cap_indicator(c)
+        pts = generate_points(2, 400, scheme="fibonacci_s2")
+        itp = _random_coefficients(pts, kernel)
+        p = pts.points[::5]
+        tangent = np.cross(p, [0.6, 0.0, 0.8])
+        tangent /= np.linalg.norm(tangent, axis=1)[:, None]
+        # 1e-13 past the edge is still inside the widened chord; 1e-13 inside it
+        angles = np.repeat([0.5 + 1e-13, 0.5 - 1e-13], len(p))[:, None]
+        block = np.cos(angles) * np.tile(p, (2, 1)) + np.sin(angles) * np.tile(tangent, (2, 1))
+        block /= np.linalg.norm(block, axis=1)[:, None]
+        tree = cKDTree(pts.points)
+        pairs = cKDTree(block).sparse_distance_matrix(tree, support_chord(c), output_type="ndarray")
+        assert np.sum(1.0 - pairs["v"] ** 2 / 2.0 < c) >= len(p)
+        out = _support_pair_sums(itp, block, tree)
+        assert np.max(np.abs(out - _dense_sums(itp, block))) <= 1e-15 * np.sum(np.abs(itp.coefficients))
 
     def test_series_kernel_stays_dense(self, monkeypatch):
         kernel = kernel_from_descriptor({"family": "series", "coeffs": [1.0, 0.5, 0.25, 0.125], "lambda": 0.5})

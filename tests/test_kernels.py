@@ -1,6 +1,7 @@
 """Kernel family tests: truncated powers, montee closed forms and recurrence,
 smoothness ladder, and the cap self-convolution kernels N_d."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from sphkern.kernels import (
 )
 from sphkern.convolution import cap_indicator
 from sphkern.operators import descente_numeric, montee_numeric
+from sphkern.zonal import ZonalKernel
 
 CAP_ANGLES = (math.pi / 6, math.pi / 4, math.pi / 3)
 
@@ -411,3 +413,88 @@ class TestSupportEdge:
     )
     def test_descriptors_carry_the_edge(self, desc, edge):
         assert kernel_from_descriptor(desc).support_edge == edge
+
+
+_CLOSED_FORM_CASES = [c for c in _support_cases() if not c[0].startswith(("montee(", "descente("))]
+
+
+def _spied(kernel):
+    """kernel with an fn that records every array it receives."""
+    seen = []
+
+    def spy(x):
+        seen.append(x)
+        return kernel.fn(x)
+
+    return dataclasses.replace(kernel, fn=spy), seen
+
+
+class TestSupportRule:
+    """ZonalKernel.__call__ holds the support rule: fn is the profile on [edge, 1]."""
+
+    @pytest.mark.parametrize("name, factory, edge", _CLOSED_FORM_CASES, ids=[c[0] for c in _CLOSED_FORM_CASES])
+    def test_fn_never_sees_x_below_the_edge(self, name, factory, edge):
+        kernel = factory()
+        spied, seen = _spied(kernel)
+        grid = np.concatenate([np.linspace(-1.0, 1.0, 501), [edge, np.nextafter(edge, -2.0), np.nextafter(edge, 2.0)]])
+        for x in (grid, grid.reshape(2, -1), edge, np.nextafter(edge, -2.0)):
+            out = spied(x)
+            assert np.array_equal(out, kernel(x))
+            assert np.all(np.asarray(out)[np.asarray(x) < edge] == 0.0)
+        assert seen and all(np.all(x >= edge) for x in seen)
+        assert min(float(np.min(x)) for x in seen if x.size) == edge
+
+    @pytest.mark.parametrize("name, factory, edge", _CLOSED_FORM_CASES, ids=[c[0] for c in _CLOSED_FORM_CASES])
+    def test_in_support_input_reaches_fn_uncopied(self, name, factory, edge):
+        spied, seen = _spied(factory())
+        x = np.linspace(edge, 1.0, 101)
+        grid = x.reshape(101, 1)
+        spied(x)
+        spied(grid)
+        assert len(seen) == 2 and seen[0] is x and seen[1] is grid
+
+    def test_kernel_without_support_calls_fn_once_on_the_whole_array(self):
+        spied, seen = _spied(ZonalKernel(fn=np.cos))
+        x = np.linspace(-1.0, 1.0, 64).reshape(8, 8)
+        assert np.array_equal(spied(x), np.cos(x))
+        assert len(seen) == 1 and seen[0] is x
+
+    @pytest.mark.parametrize("name, factory, edge", _CLOSED_FORM_CASES, ids=[c[0] for c in _CLOSED_FORM_CASES])
+    def test_exact_value_at_the_edge(self, name, factory, edge):
+        kernel = factory()
+        expected = 1.0 if name == "cap" else 0.0
+        assert kernel(edge) == expected
+        assert kernel(np.array([edge, 1.0]))[0] == expected
+        # and when x below the edge sends the array through the mask
+        assert kernel(np.array([np.nextafter(edge, -2.0), edge, 1.0]))[:2].tolist() == [0.0, expected]
+
+
+class TestExactEdge:
+    """Public evaluators give exactly 0.0 at the support edge; at the
+    formulas' own edge (no exact-edge zero) most of these probes read
+    roundoff instead."""
+
+    def test_cap_kernels(self):
+        for d in (3, 5, 7, 9):
+            for s in np.linspace(0.05, 1.5, 61):
+                s = float(s)
+                edge = math.cos(2.0 * s)
+                assert eval_cap_kernel(d, s, edge) == 0.0, (d, s)
+                assert CapConvKernel(d, s)(np.array([edge]))[0] == 0.0, (d, s)
+                assert CapConvKernel(d, s).as_kernel()(edge) == 0.0, (d, s)
+
+    def test_truncated_powers_and_montee_iterates(self):
+        for t in np.linspace(0.05, math.pi - 0.05, 60):
+            t = float(t)
+            edge = math.cos(t)
+            for m in (1, 2, 3, 4):
+                assert eval_truncated_power(TruncatedPower(m, t), edge) == 0.0, (m, t)
+                for k in (1, 2, 3):
+                    assert MonteeIterate(TruncatedPower(m, t), k)(edge) == 0.0, (m, k, t)
+                    assert MonteeIterate(TruncatedPower(m, t), k).as_kernel()(edge) == 0.0, (m, k, t)
+
+    def test_cap_ladder(self):
+        for c in (-0.7, -0.2, 0.0, 0.3, math.cos(0.5), 0.9):
+            assert cap_indicator(c)(c) == 1.0
+            for k in (1, 2, 3):
+                assert _antiderivative(cap_indicator(c), k)(c) == 0.0
