@@ -84,6 +84,8 @@ def cmd_eval(args) -> int:
             xs = np.linspace(-1.0, 1.0, args.grid)
             theta = np.arccos(np.clip(xs, -1.0, 1.0))
         vals = np.asarray(kernel(xs))
+        if not np.all(np.isfinite(vals)):
+            raise EvaluationError("kernel produced non-finite values on the grid")
     else:
         xs = theta = vals = np.empty(0)
     if args.fmt == "json":
@@ -238,9 +240,10 @@ def cmd_interp(args) -> int:
 
 
 def cmd_gen_points(args) -> int:
-    if args.lam is None:
-        raise ValueError("gen-points needs --sphere-dim")
-    d = int(round(2 * args.lam + 1))
+    d = 2.0 * _params(args).lam + 1.0
+    if not d.is_integer():
+        raise ValueError(f"lambda = {args.lam} is not (d - 1)/2 for an integer sphere dimension d")
+    d = int(d)
     pts = generate_points(d, args.n, scheme=args.scheme, seed=args.seed)
     header = ",".join(f"x{i}" for i in range(d + 1))
     rows = [",".join(_fmt(c) for c in row) for row in pts.points]
@@ -332,6 +335,9 @@ def main(argv=None) -> int:
         return 3
     except (AccuracyError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"error: floating-point overflow: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

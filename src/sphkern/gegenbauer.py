@@ -93,10 +93,6 @@ class GegenbauerParams:
         if not (self.lam >= 0.0) or not math.isfinite(self.lam):
             raise ValueError(f"lambda must be a finite nonnegative real, got {self.lam}")
 
-    @property
-    def sphere_dim(self) -> float:
-        return 2.0 * self.lam + 1.0
-
 
 def _recurrence(lam: float, n_max: int, x: np.ndarray):
     """Yield C^lam_n(x), n = 0..n_max, by the three-term recurrence; T_n at lam = 0."""
@@ -313,8 +309,12 @@ class SeriesCoeffs:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
+        if self.truncation < 0:
+            raise ValueError(f"truncation must be nonnegative, got {self.truncation}")
         if self.coeffs.shape != (self.truncation + 1,):
             raise ValueError("coefficient vector must have length truncation + 1")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError("coefficients must be finite")
 
     def weights(self) -> np.ndarray:
         return np.array([weight_w(self.params, n) for n in range(self.truncation + 1)])
@@ -325,23 +325,16 @@ class SeriesCoeffs:
         return self.weights() * self.coeffs / at_one
 
 
-def _cesaro_factors(n_max: int, delta: float) -> np.ndarray:
-    # (C, delta) factors A_{N-n}^delta / A_N^delta with A_k = binom(k+delta, k).
-    k = np.arange(n_max + 1.0)
-    log_a = gammaln(k + delta + 1.0) - gammaln(delta + 1.0) - gammaln(k + 1.0)
-    return np.exp(log_a[::-1] - log_a[-1])
-
-
 @on_interval
-def series_eval(s: SeriesCoeffs, x, *, cesaro: float | None = None) -> np.ndarray | float:
-    """Partial sum sum_{n<=N} w_lam(n) fhat(n) W^lam_n(x).
+def series_eval(s: SeriesCoeffs, x) -> np.ndarray | float:
+    """Partial sum sum_{n<=N} w_lam(n) fhat(n) W^lam_n(x) for x of any shape
+    (Gram matrices included).
 
-    `cesaro` (an order delta > 0) optionally applies Cesaro smoothing factors,
-    purely as a de-Gibbs device for rough kernels.  Accepts arrays of any
-    shape (Gram matrices included).
+    Each term is added as the recurrence yields C^lam_n, so the working
+    memory is a few arrays of x's size, whatever N is.
     """
-    table = _w_table(s.params, s.truncation, x.ravel())
     terms = s.weights() * s.coeffs
-    if cesaro is not None:
-        terms = terms * _cesaro_factors(s.truncation, cesaro)
-    return (terms @ table).reshape(x.shape)
+    out = np.zeros(x.size)
+    for n, c in enumerate(_recurrence(s.params.lam, s.truncation, x.ravel())):
+        out += terms[n] * (c if s.params.lam == 0.0 else c / gegenbauer_at_one(s.params, n))
+    return out.reshape(x.shape)

@@ -4,7 +4,7 @@ Three groups live here:
 
 * truncated angular powers f_m(cos theta) = (t - theta)^m_+, strictly
   positive definite on S^(2m-1) for m = 2, 3, 4;
-* their montee iterates I^k f_m for every m, k >= 1, evaluated from one exact
+* their montee iterates I^k f_m for 1 <= m, k <= 170, evaluated from one exact
   algebra: finite sums of c u^p cos(j theta) and c u^p sin(j theta) with
   u = t - theta, a family closed under montee.  The printed closed forms for
   I f_2, I f_3, I^2 f_3, I f_4, I^2 f_4 and the single-montee recurrence stay
@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DegenerateCapError
+from .errors import DegenerateCapError, ResourceLimitError
 from .gegenbauer import GegenbauerParams, SeriesCoeffs, on_interval, series_eval
 from .zonal import ZonalKernel
 
@@ -45,6 +45,12 @@ __all__ = [
 CLOSED_FORM_TAGS = ("If2", "If3", "I2f3", "If4", "I2f4")
 
 _CLOSED_FORM_KEYS = {"If2": (2, 1), "If3": (3, 1), "I2f3": (3, 2), "If4": (4, 1), "I2f4": (4, 2)}
+
+# Largest m and k of a montee iterate I^k f_m.  171! overflows float64, so
+# from m = 171 on the algebra's coefficients are not finite or raise; the
+# algebra recurses once per montee, and k = 1000 passes Python's recursion
+# limit.
+MAX_MONTEE_ORDER = 170
 
 
 def _check_support_angle(t: float):
@@ -310,6 +316,8 @@ class MonteeIterate:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("montee count k must be >= 1")
+        if max(self.base.m, self.k) > MAX_MONTEE_ORDER:
+            raise ResourceLimitError(f"montee iterates need m, k <= {MAX_MONTEE_ORDER}, got m={self.base.m}, k={self.k}")
 
     def as_kernel(self) -> ZonalKernel:
         m, t, k = self.base.m, self.base.t, self.k
@@ -487,32 +495,50 @@ class CapConvKernel:
 # descriptor factory (the JSON schema consumed by the CLI)
 
 
+def _integer(key: str, v) -> int:
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"descriptor field {key!r} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _finite_real(key: str, v) -> float:
+    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    # abs(v) <= max also rejects NaN, and ints too large for a float
+    if not (real and abs(v) <= np.finfo(float).max):
+        raise ValueError(f"descriptor field {key!r} must be a finite real, got {v!r}")
+    return float(v)
+
+
 def kernel_from_descriptor(desc: dict, params: GegenbauerParams | None = None) -> ZonalKernel:
     """Build a kernel from {"family": ..., ...}.
 
     Families: truncated_power {m, t}, montee {m, k, t}, cap_conv {d, s},
-    series {coeffs, lambda?}.  A series descriptor without "lambda" uses the
-    `params` argument.
+    series {coeffs, lambda?}.  m, k and d must be integers (a bool is not),
+    t, s, lambda and each coefficient finite reals; anything else raises
+    ValueError.  A series descriptor without "lambda" uses the `params`
+    argument.
     """
     if not isinstance(desc, dict) or "family" not in desc:
         raise ValueError("kernel descriptor must be a mapping with a 'family' key")
     family = desc["family"]
     try:
         if family == "truncated_power":
-            return TruncatedPower(int(desc["m"]), float(desc["t"])).as_kernel()
+            return TruncatedPower(_integer("m", desc["m"]), _finite_real("t", desc["t"])).as_kernel()
         if family == "montee":
-            return MonteeIterate(TruncatedPower(int(desc["m"]), float(desc["t"])), int(desc["k"])).as_kernel()
+            base = TruncatedPower(_integer("m", desc["m"]), _finite_real("t", desc["t"]))
+            return MonteeIterate(base, _integer("k", desc["k"])).as_kernel()
         if family == "cap_conv":
-            return CapConvKernel(int(desc["d"]), float(desc["s"])).as_kernel()
+            return CapConvKernel(_integer("d", desc["d"]), _finite_real("s", desc["s"])).as_kernel()
         if family == "series":
-            lam = desc.get("lambda")
-            if lam is None:
-                if params is None:
-                    raise ValueError("series descriptor needs 'lambda' or explicit params")
-                p = params
+            if "lambda" in desc:
+                p = GegenbauerParams(_finite_real("lambda", desc["lambda"]))
+            elif params is None:
+                raise ValueError("series descriptor needs 'lambda' or explicit params")
             else:
-                p = GegenbauerParams(float(lam))
-            coeffs = np.asarray(desc["coeffs"], dtype=float)
+                p = params
+            if not isinstance(desc["coeffs"], (list, tuple)):
+                raise ValueError(f"descriptor field 'coeffs' must be a list, got {desc['coeffs']!r}")
+            coeffs = np.array([_finite_real("coeffs", c) for c in desc["coeffs"]], dtype=float)
             series = SeriesCoeffs(params=p, coeffs=coeffs, truncation=coeffs.size - 1)
             return ZonalKernel(
                 fn=lambda x: np.asarray(series_eval(series, x)),

@@ -263,7 +263,7 @@ def descente_numeric(f: ZonalKernel, tol: float = 1e-8) -> OperatorImage:
 # exact identities on the Gegenbauer family
 
 
-def check_D_on_gegenbauer(params: GegenbauerParams, n: int, grid_size: int = 501) -> float:
+def check_D_on_gegenbauer(params: GegenbauerParams, n: int) -> float:
     """Max grid deviation of d/dx C^lam_n - 2 mu_lam C^(lam+1)_(n-1).
 
     The left side uses the differentiated three-term recurrence, so the two
@@ -272,19 +272,19 @@ def check_D_on_gegenbauer(params: GegenbauerParams, n: int, grid_size: int = 501
     if n < 1:
         raise ValueError("need degree n >= 1")
     up = GegenbauerParams(params.lam + 1.0)
-    grid = np.linspace(-1.0, 1.0, grid_size)
+    grid = np.linspace(-1.0, 1.0, 501)
     lhs = eval_gegenbauer_derivative(params, n, grid)
     rhs = 2.0 * mu(params) * np.asarray(eval_gegenbauer(up, n - 1, grid))
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def check_I_on_gegenbauer(params: GegenbauerParams, n: int, grid_size: int = 501) -> float:
+def check_I_on_gegenbauer(params: GegenbauerParams, n: int) -> float:
     """Max grid deviation of I C^(lam+1)_(n-1) - (C^lam_n - C^lam_n(-1)) / (2 mu_lam)."""
     if n < 1:
         raise ValueError("need degree n >= 1")
     up = GegenbauerParams(params.lam + 1.0)
     image = montee_numeric(gegenbauer_kernel(up, n - 1), tol=1e-12)
-    grid = np.linspace(-1.0, 1.0, grid_size)
+    grid = np.linspace(-1.0, 1.0, 501)
     c_n = np.asarray(eval_gegenbauer(params, n, grid))
     c_at_minus1 = eval_gegenbauer(params, n, -1.0)
     rhs = (c_n - c_at_minus1) / (2.0 * mu(params))

@@ -30,8 +30,8 @@ __all__ = [
     "generate_points",
 ]
 
-#: Default number of strictly positive coefficients per parity class that
-#: counts as evidence for the "infinitely many" conditions.
+#: Number of strictly positive coefficients per parity class that counts as
+#: evidence for the "infinitely many" conditions.
 EVIDENCE_MIN = 10
 
 
@@ -165,7 +165,6 @@ def classify(
     n_max: int,
     tol: float = 1e-10,
     order: int | None = None,
-    evidence_min: int = EVIDENCE_MIN,
 ) -> ClassificationReport:
     """Coefficient scan of f up to degree n_max with honest error estimates.
 
@@ -200,7 +199,7 @@ def classify(
     pos_even = int(np.sum(positive[0::2]))
     pos_odd = int(np.sum(positive[1::2]))
     schoenberg = neg_count == 0
-    cms = schoenberg and pos_even >= evidence_min and pos_odd >= evidence_min
+    cms = schoenberg and pos_even >= EVIDENCE_MIN and pos_odd >= EVIDENCE_MIN
     cx = schoenberg and bool(np.all(positive)) and f_min >= -max(tol, 1e-12)
     caveat = None
     if params.lam == 0.0:
@@ -268,11 +267,9 @@ def gram_matrix(f: ZonalKernel, pts: PointSet) -> np.ndarray:
     Self-dots of unit vectors equal 1 exactly, so the diagonal is pinned to
     f(1): profiles with a sqrt-type cusp at x = 1 (every compactly supported
     family here) would otherwise amplify the last-ulp dot error to ~1e-8.
-    Without local support f runs on the whole (symmetric) dot matrix.
+    f runs on the whole (symmetric) dot matrix, so this dense route is
+    independent of sparse_gram's kd-tree pairs.
     """
-    m = sparse_gram(f, pts)
-    if m is not None:
-        return m.toarray()
     gram = pts.points @ pts.points.T
     np.fill_diagonal(gram, 1.0)
     return f(gram)

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gegenbauer import eval_gegenbauer, gegenbauer_at_one, on_interval
+from .gegenbauer import eval_gegenbauer, on_interval
 
 __all__ = ["ZonalKernel", "constant_kernel", "zero_kernel", "gegenbauer_kernel"]
 
@@ -78,11 +78,6 @@ def zero_kernel() -> ZonalKernel:
     return constant_kernel(0.0, name="zero")
 
 
-def gegenbauer_kernel(params, n: int, normalized: bool = False) -> ZonalKernel:
-    """C^lam_n (or W^lam_n when normalized) wrapped as a smooth kernel."""
-    scale = 1.0 / gegenbauer_at_one(params, n) if normalized else 1.0
-    tag = "W" if normalized else "C"
-    return ZonalKernel(
-        fn=lambda x: scale * np.asarray(eval_gegenbauer(params, n, x)),
-        name=f"{tag}[{params.lam}]_{n}",
-    )
+def gegenbauer_kernel(params, n: int) -> ZonalKernel:
+    """C^lam_n wrapped as a smooth kernel."""
+    return ZonalKernel(fn=lambda x: np.asarray(eval_gegenbauer(params, n, x)), name=f"C[{params.lam}]_{n}")

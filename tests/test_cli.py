@@ -1,13 +1,17 @@
 """CLI contract tests: subcommand outputs, exit codes, determinism."""
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sphkern
 from sphkern import interpolation
@@ -62,6 +66,85 @@ class TestEval:
         desc.write_text(N3_DESC)
         out = tmp_path / "t.csv"
         assert run_main(["eval", "--kernel", str(desc), "--grid", "3", "--out", str(out)]) == 0
+
+
+# Each of these used to end in a traceback (exit 1), a NaN table (exit 0) or
+# a silently truncated field.
+MALFORMED = [
+    ('{"family": "truncated_power", "m": null, "t": 1.0}', 2),
+    ('{"family": "truncated_power", "m": 2, "t": [1]}', 2),
+    ('{"family": "cap_conv", "d": Infinity, "s": 0.5}', 2),
+    ('{"family": "series", "coeffs": [], "lambda": 1.0}', 2),
+    ('{"family": "series", "coeffs": [1.0, 0.5], "lambda": 1e300}', 3),
+    ('{"family": "montee", "m": 2, "k": 1000, "t": 1.0}', 2),
+    ('{"family": "montee", "m": 1000, "k": 1, "t": 1.0}', 2),
+    ('{"family": "montee", "m": 171, "k": 1, "t": 1.0}', 2),
+    ('{"family": "series", "coeffs": [1.0, NaN], "lambda": 1.0}', 2),
+    ('{"family": "truncated_power", "m": 2.7, "t": 1.0}', 2),
+    ('{"family": "truncated_power", "m": true, "t": 1.0}', 2),
+    ('{"family": "series", "coeffs": {}, "lambda": 1.0}', 2),
+]
+
+
+class TestMalformedDescriptors:
+    @pytest.mark.parametrize("desc, code", MALFORMED)
+    def test_exit_code_and_one_error_line(self, capsys, desc, code):
+        assert run_main(["eval", "--kernel", desc, "--grid", "5"]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_non_finite_values_exit_3(self, capsys):
+        # 3^1000 overflows; numpy's own overflow warning is not the contract
+        desc = '{"family": "truncated_power", "m": 1000, "t": 3.0}'
+        with np.errstate(over="ignore"):
+            assert run_main(["eval", "--kernel", desc, "--grid", "5"]) == 3
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_largest_montee_order_evaluates(self):
+        from sphkern.kernels import MAX_MONTEE_ORDER
+
+        ok = json.dumps({"family": "montee", "m": MAX_MONTEE_ORDER, "k": 1, "t": 1.0})
+        assert run_main(["eval", "--kernel", ok, "--grid", "5", "--out", os.devnull]) == 0
+
+    def test_huge_float_m_fails_fast(self):
+        # _primitive_term looped m times: this ran for over 20 s
+        src = os.path.dirname(os.path.dirname(sphkern.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        desc = '{"family": "montee", "m": 1e300, "k": 1, "t": 1.0}'
+        proc = subprocess.run(
+            [sys.executable, "-m", "sphkern.cli", "eval", "--kernel", desc, "--grid", "5"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+
+
+_MISSING, _VALID = object(), object()
+_FAMILY_FIELDS = {
+    "truncated_power": {"m": 2, "t": 1.0},
+    "montee": {"m": 3, "k": 2, "t": 1.0},
+    "cap_conv": {"d": 3, "s": 0.5},
+    "series": {"coeffs": [1.0, 0.5, 0.25], "lambda": 1.0},
+}
+# values past the montee bound are left out: at the parent they ran for minutes
+_FIELD_VALUES = [_MISSING, None, True, "x", [], -1, 0, 2.7, math.nan, math.inf, _VALID]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_descriptor_fuzz_never_raises(data):
+    for family, valid in _FAMILY_FIELDS.items():
+        desc = {"family": family}
+        for key, good in valid.items():
+            v = data.draw(st.sampled_from(_FIELD_VALUES), label=f"{family}.{key}")
+            if v is not _MISSING:
+                desc[key] = good if v is _VALID else v
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            rc = main(["eval", "--kernel", json.dumps(desc), "--grid", "5"])
+        assert rc in (0, 2, 3), desc
 
 
 class TestCoeffs:
@@ -194,6 +277,12 @@ class TestGenPoints:
         assert header == "x0,x1,x2"
         pts = np.array([[float(v) for v in r] for r in rows])
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("lam", ["0.7", "-0.5", "nan"])
+    def test_lambda_off_the_sphere_ladder_exit_2(self, capsys, lam):
+        # 0.7 used to print points on S^2
+        assert run_main(["gen-points", "--lambda", lam, "--n", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestInterp:

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sphkern.errors import ResourceLimitError
 from sphkern.gegenbauer import (
     GegenbauerParams,
     SeriesCoeffs,
+    _w_table,
     clamp_x,
     on_interval,
     eval_gegenbauer,
@@ -44,6 +46,12 @@ P0 = GegenbauerParams(0.0)
 P_HALF = GegenbauerParams(0.5)
 P1 = GegenbauerParams(1.0)
 P2 = GegenbauerParams(2.0)
+
+
+def _w_kernel(p, n):
+    """W^lam_n = C^lam_n / C^lam_n(1) as a kernel."""
+    c = gegenbauer_kernel(p, n)
+    return ZonalKernel(fn=lambda x: c(x) / gegenbauer_at_one(p, n))
 
 
 class TestEvalGegenbauer:
@@ -217,7 +225,7 @@ class TestQuadrature:
 
 class TestTransform:
     def test_orthogonality_diagonal(self):
-        s = transform(gegenbauer_kernel(P1, 2, normalized=True), P1, 3, order=64)
+        s = transform(_w_kernel(P1, 2), P1, 3, order=64)
         assert s.coeffs[2] == pytest.approx(1.0 / weight_w(P1, 2), rel=1e-12)
         assert abs(s.coeffs[3]) < 1e-12
 
@@ -262,7 +270,7 @@ class TestSeriesEval:
             assert series_eval(s, x) == pytest.approx(c)
 
     def test_round_trip_w12(self):
-        s = transform(gegenbauer_kernel(P1, 2, normalized=True), P1, 4, order=64)
+        s = transform(_w_kernel(P1, 2), P1, 4, order=64)
         assert series_eval(s, 1.0) == pytest.approx(1.0, abs=1e-8)
 
     def test_f2_reconstruction_outside_support(self):
@@ -281,23 +289,47 @@ class TestSeriesEval:
         ]
         assert np.all(np.diff(partials) > -1e-12)
 
-    def test_cesaro_smoothing_tames_gibbs_overshoot(self):
-        # the cap indicator has a genuine jump; raw partial sums overshoot
-        # near it, Cesaro-damped sums do not
-        from sphkern.convolution import cap_indicator
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("trunc", [0, 1, 40, 200])
+    def test_matches_the_table_route(self, lam, trunc):
+        # the (N+1) x size table, summed by one GEMV, is the oracle
+        p = GegenbauerParams(lam)
+        s = SeriesCoeffs(p, np.random.default_rng(trunc).standard_normal(trunc + 1), trunc)
+        terms = s.weights() * s.coeffs
+        # -1 and 1 lead, so the Gram-shaped block below holds both
+        grid = np.concatenate([[-1.0, 1.0], np.linspace(-1.0, 1.0, 101)])
+        dots = np.clip(np.outer(grid[:30], grid[:30]) + 0.1 * np.eye(30), -1.0, 1.0)
+        for x in (-1.0, 1.0, 0.3, grid, dots):
+            flat = np.atleast_1d(x).ravel()
+            table = _w_table(p, trunc, flat)
+            bound = 4 * np.finfo(float).eps * (np.abs(terms) @ np.abs(table))
+            got = series_eval(s, x)
+            assert np.shape(got) == np.shape(x)
+            assert np.all(np.abs(np.ravel(got) - terms @ table) <= bound)
 
-        chi = cap_indicator(0.0)
-        s = transform(chi, P1, 80, order=400)
-        xs = np.linspace(0.02, 0.3, 120)
-        raw_overshoot = np.max(series_eval(s, xs)) - 1.0
-        smooth_overshoot = np.max(series_eval(s, xs, cesaro=1.0)) - 1.0
-        assert raw_overshoot > 0.02
-        assert smooth_overshoot < raw_overshoot / 2
+    def test_evaluation_builds_no_basis_table(self):
+        # the (N+1) x size table alone was 313 MiB here
+        s = SeriesCoeffs(P1, 1.0 / (1.0 + np.arange(201.0)) ** 2, 200)
+        x = np.linspace(-1.0, 1.0, 200_000)
+        tracemalloc.start()
+        try:
+            out = series_eval(s, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(out))
+        assert peak < 16 * 2**20
 
 
 def test_series_coeffs_length_validation():
     with pytest.raises(ValueError):
         SeriesCoeffs(params=P1, coeffs=np.zeros(3), truncation=3)
+
+
+@pytest.mark.parametrize("coeffs, trunc", [([], -1), ([1.0, np.nan], 1), ([np.inf], 0)])
+def test_series_coeffs_reject_negative_truncation_and_non_finite(coeffs, trunc):
+    with pytest.raises(ValueError):
+        SeriesCoeffs(params=P1, coeffs=np.array(coeffs), truncation=trunc)
 
 
 def test_params_validation():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sphkern.convolution import cap_indicator, dimension_hop_conv
 from sphkern.gegenbauer import GegenbauerParams, transform, series_eval
-from sphkern.kernels import CapConvKernel, TruncatedPower
+from sphkern.kernels import CapConvKernel, TruncatedPower, kernel_from_descriptor
 from sphkern.spd import PointSet, _max_neighbour_cos, classify, generate_points, gram_matrix, gram_min_eig, sparse_gram
 from sphkern.zonal import ZonalKernel, gegenbauer_kernel
 
@@ -145,7 +145,7 @@ class TestGram:
         pts = generate_points(d, 300, scheme="random_seeded", seed=5)
         dots = np.clip(pts.points @ pts.points.T, -1.0, 1.0)
         np.fill_diagonal(dots, 1.0)
-        m = gram_matrix(kernel, pts)
+        m = sparse_gram(kernel, pts).toarray()
         assert np.array_equal(m, m.T)
         assert np.array_equal(m != 0.0, kernel(dots) != 0.0)
         assert np.max(np.abs(m - kernel(dots))) <= 1e-13
@@ -159,7 +159,7 @@ class TestGram:
         ring /= np.linalg.norm(ring, axis=1)[:, None]
         pts = PointSet(d=2, points=np.vstack([[1.0, 0.0, 0.0], ring]))
         dots = pts.points @ pts.points.T
-        m = gram_matrix(kernel, pts)
+        m = sparse_gram(kernel, pts).toarray()
         assert np.array_equal(m[0], (np.clip(dots[0], -1.0, 1.0) >= c).astype(float))
         assert np.sum(m[0, 1:] == 1.0) > 0
         # pairs the widened chord admits past the edge (26 at c = -0.2) are
@@ -173,6 +173,20 @@ class TestGram:
         series_kernel = ZonalKernel(fn=lambda x: np.asarray(series_eval(coeffs, x)))
         pts = generate_points(3, 40, scheme="random_seeded", seed=9)
         assert gram_min_eig(series_kernel, pts) >= -1e-10
+
+    def test_series_kernel_gram_builds_no_basis_table(self):
+        # the (N+1) x n^2 basis table alone was 305 MiB here; M_X is 7.6 MiB
+        coeffs = (1.0 / (1.0 + np.arange(41.0)) ** 3).tolist()
+        kernel = kernel_from_descriptor({"family": "series", "coeffs": coeffs, "lambda": 0.5})
+        pts = generate_points(2, 1000, scheme="fibonacci_s2")
+        tracemalloc.start()
+        try:
+            m = gram_matrix(kernel, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(m))
+        assert peak < 64 * 2**20
 
 
 class TestGeneratePoints:
