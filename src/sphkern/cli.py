@@ -66,8 +66,14 @@ def _table(rows, header: str, preamble: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows_to_json(rows, columns) -> str:
-    return json.dumps({"columns": list(columns), "rows": rows}, sort_keys=True) + "\n"
+def _emit_rows(args, columns, rows, preamble: str = ""):
+    """Rows of Python numbers as JSON {"columns", "rows"}, or as a CSV table
+    under the preamble with every number formatted as _fmt does."""
+    if args.fmt == "json":
+        _emit(args, json.dumps({"columns": list(columns), "rows": rows}, sort_keys=True) + "\n")
+    else:
+        line = ",".join(["{:.17g}"] * len(columns))
+        _emit(args, _table([line.format(*row) for row in rows], ",".join(columns), preamble))
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +94,7 @@ def cmd_eval(args) -> int:
             raise EvaluationError("kernel produced non-finite values on the grid")
     else:
         xs = theta = vals = np.empty(0)
-    if args.fmt == "json":
-        rows = [[float(x), float(t), float(v)] for x, t, v in zip(xs, theta, vals)]
-        _emit(args, _rows_to_json(rows, ("x", "theta", "value")))
-    else:
-        rows = [f"{_fmt(x)},{_fmt(t)},{_fmt(v)}" for x, t, v in zip(xs, theta, vals)]
-        _emit(args, _table(rows, "x,theta,value"))
+    _emit_rows(args, ("x", "theta", "value"), list(zip(xs.tolist(), theta.tolist(), vals.tolist())))
     return 0
 
 
@@ -106,11 +107,7 @@ def cmd_coeffs(args) -> int:
         f"# expansion f ~ sum_n coeff[n] * W^lambda_n at lambda={_fmt(params.lam)}; "
         "divide coeff[n] by C^lambda_n(1) for the plain Gegenbauer basis"
     )
-    if args.fmt == "json":
-        _emit(args, _rows_to_json([[n, float(c)] for n, c in enumerate(coeffs)], ("n", "coeff")))
-    else:
-        rows = [f"{n},{_fmt(c)}" for n, c in enumerate(coeffs)]
-        _emit(args, _table(rows, "n,coeff", preamble=note))
+    _emit_rows(args, ("n", "coeff"), list(enumerate(coeffs.tolist())), preamble=note)
     return 0
 
 
@@ -145,11 +142,7 @@ def cmd_conv(args) -> int:
         fhat = transform(f, params, args.trunc, order=args.quad_order)
         ghat = transform(g, params, args.trunc, order=args.quad_order)
         prod = conv_lambda_coeffs(fhat, ghat)
-        if args.fmt == "json":
-            _emit(args, _rows_to_json([[n, float(c)] for n, c in enumerate(prod.coeffs)], ("n", "coeff")))
-        else:
-            rows = [f"{n},{_fmt(c)}" for n, c in enumerate(prod.coeffs)]
-            _emit(args, _table(rows, "n,coeff"))
+        _emit_rows(args, ("n", "coeff"), list(enumerate(prod.coeffs.tolist())))
         return 0
     lam = params.lam
     if abs(lam - round(lam)) > 1e-12:
@@ -162,11 +155,7 @@ def cmd_conv(args) -> int:
         vals = conv0(f, g, theta, order=args.quad_order)
     else:
         vals = dimension_hop_conv(f, g, GegenbauerParams(float(lam - 1)), xs, order=args.quad_order)
-    if args.fmt == "json":
-        _emit(args, _rows_to_json([[float(x), float(v)] for x, v in zip(xs, vals)], ("x", "value")))
-    else:
-        rows = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vals)]
-        _emit(args, _table(rows, "x,value"))
+    _emit_rows(args, ("x", "value"), list(zip(xs.tolist(), vals.tolist())))
     return 0
 
 

@@ -74,12 +74,10 @@ __all__ = [
 def _cap_power(c: float, k: int) -> ZonalKernel:
     # k-fold exact antiderivative of the indicator: (x - c)^k_+ / k!.
     scale = 1.0 / math.factorial(k)
-    deriv = cap_indicator(c) if k == 1 else _cap_power(c, k - 1)
     return ZonalKernel(
         fn=lambda x: scale * (x - c) ** k,  # x - c >= 0, and exactly 0 at the edge
         name=f"I^{k} cap({c:g})",
         breakpoints=(c,),
-        derivative=deriv,
         antiderivative_fn=lambda: _cap_power(c, k + 1),
         support_edge=c,
     )

@@ -47,6 +47,11 @@ X_CLAMP_SLACK = 1e-12
 
 MAX_QUAD_ORDER = 100_000
 
+#: Largest lambda (sphere dimension 2001).  The gamma ratios of
+#: gegenbauer_at_one and weight_w lose about 2e-15 lambda relative accuracy
+#: (2e-12 here), and past 1e5 they overflow or return wrong values.
+MAX_LAMBDA = 1000
+
 
 def clamp_x(x):
     """Snap values within 1e-12 of [-1, 1] back onto the interval.
@@ -92,6 +97,10 @@ class GegenbauerParams:
     def __post_init__(self):
         if not (self.lam >= 0.0) or not math.isfinite(self.lam):
             raise ValueError(f"lambda must be a finite nonnegative real, got {self.lam}")
+        if self.lam > MAX_LAMBDA:
+            raise ResourceLimitError(
+                f"lambda must be at most {MAX_LAMBDA} (sphere dimension 2001), got {self.lam}"
+            )
 
 
 def _recurrence(lam: float, n_max: int, x: np.ndarray):

@@ -55,8 +55,7 @@ from .zonal import ZonalKernel
 
 __all__ = ["Interpolant", "solve_interpolation", "evaluate_interpolant"]
 
-_REFINEMENT_ROUNDS = 3
-_MIXED_REFINEMENT_ROUNDS = 30  # LAPACK dsposv's ITERMAX
+_REFINEMENT_ROUNDS = 30  # LAPACK dsposv's ITERMAX
 #: queries per evaluation block, bounded by memory: what a worker thread
 #: frees stays resident in its malloc arena, so larger blocks raise peak RSS
 _QUERY_BLOCK = 128
@@ -149,7 +148,7 @@ def _solve_cholesky(m, f: np.ndarray) -> tuple[np.ndarray, float]:
     pairs wide: O(n b^2) time and (b + 1) n storage, so the order of its
     rows sets the cost.  The band is factored in float32 (spbtrf) and the
     float32 corrections are refined against float64 residuals, up to
-    _MIXED_REFINEMENT_ROUNDS times (Buttari et al., IJHPCA 2007, as in
+    _REFINEMENT_ROUNDS times (Buttari et al., IJHPCA 2007, as in
     LAPACK dsposv).  If spbtrf fails or the refined residual misses dsposv's
     bound sqrt(n) eps ||M||_inf ||c||_inf, the float32 factor is freed and
     the band is factored again in float64 (dpbtrf), so a kernel that is not
@@ -159,10 +158,10 @@ def _solve_cholesky(m, f: np.ndarray) -> tuple[np.ndarray, float]:
     if isinstance(m, np.ndarray):
         chol, info = lapack.dpotrf(m, lower=1)
         _check_pivot(info)
-        return _refine(m, f, partial(_triangular_solve, lapack.dpotrs, chol), _REFINEMENT_ROUNDS)
+        return _refine(m, f, partial(_triangular_solve, lapack.dpotrs, chol))
     chol, info = lapack.spbtrf(_lower_band(m, np.float32), lower=1, overwrite_ab=1)
     if info == 0:
-        c, residual = _refine(m, f, partial(_triangular_solve, lapack.spbtrs, chol), _MIXED_REFINEMENT_ROUNDS)
+        c, residual = _refine(m, f, partial(_triangular_solve, lapack.spbtrs, chol))
         # dlamch("E") = 2^-53, the eps of dsposv's bound
         row_sums = np.bincount(m.row, weights=np.abs(m.data), minlength=len(f))
         bound = math.sqrt(len(f)) * 2.0**-53 * float(np.max(row_sums)) * float(np.max(np.abs(c)))
@@ -171,7 +170,7 @@ def _solve_cholesky(m, f: np.ndarray) -> tuple[np.ndarray, float]:
     del chol  # freed before the float64 band is built
     chol, info = lapack.dpbtrf(_lower_band(m, np.float64), lower=1, overwrite_ab=1)
     _check_pivot(info)
-    return _refine(m, f, partial(_triangular_solve, lapack.dpbtrs, chol), _REFINEMENT_ROUNDS)
+    return _refine(m, f, partial(_triangular_solve, lapack.dpbtrs, chol))
 
 
 def _check_pivot(info: int) -> None:
@@ -195,16 +194,17 @@ def _triangular_solve(potrs, chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scale * sol.astype(float, copy=False)
 
 
-def _refine(m, f: np.ndarray, solve, rounds: int) -> tuple[np.ndarray, float]:
-    """c = solve(f), refined at most `rounds` times by c += solve(f - M c):
-    c and ||f - M c||_inf.  Refinement runs toward machine level (rotated or
-    permuted problems then agree far below the contract tolerance) and stops
-    at 4 eps ||f||_inf or once a round fails to lower the residual."""
+def _refine(m, f: np.ndarray, solve) -> tuple[np.ndarray, float]:
+    """c = solve(f), refined at most _REFINEMENT_ROUNDS times by
+    c += solve(f - M c): c and ||f - M c||_inf.  Refinement runs toward
+    machine level (rotated or permuted problems then agree far below the
+    contract tolerance) and stops at 4 eps ||f||_inf or once a round fails
+    to lower the residual."""
     c = solve(f)
     scale = float(np.max(np.abs(f), initial=0.0))
     residual = f - m @ c
     best = float(np.max(np.abs(residual), initial=0.0))
-    for _ in range(rounds):
+    for _ in range(_REFINEMENT_ROUNDS):
         if best <= 4.0 * np.finfo(float).eps * max(scale, 1e-300):
             break
         trial = c + solve(residual)

@@ -82,7 +82,7 @@ class TruncatedPower:
         )
 
 
-@on_interval
+# perfbench's route tracer reads this by name; it goes with the benchmark change (ROADMAP item 1)
 def eval_truncated_power(k: TruncatedPower, x):
     """(t - arccos x)^m_+ for a TruncatedPower k."""
     return k.as_kernel()(x)
@@ -307,7 +307,7 @@ class MonteeIterate:
     """I^k f_m: k-fold montee of a truncated power, supported like its base.
 
     Every (m, k) is evaluated from the same exact algebra, and every iterate
-    records its exact derivative I^(k-1) f_m and antiderivative I^(k+1) f_m.
+    records its exact antiderivative I^(k+1) f_m.
     """
 
     base: TruncatedPower
@@ -321,18 +321,15 @@ class MonteeIterate:
 
     def as_kernel(self) -> ZonalKernel:
         m, t, k = self.base.m, self.base.t, self.k
-        derivative = self.base.as_kernel() if k == 1 else MonteeIterate(self.base, k - 1).as_kernel()
         return ZonalKernel(
             fn=lambda x: _angle_profile(x, t, lambda theta: _montee_terms(m, t, k)(theta, t)),
             name=f"I^{k} f_{m}(t={t:g})",
             breakpoints=(math.cos(t), 1.0),
-            derivative=derivative,
             antiderivative_fn=lambda: MonteeIterate(self.base, k + 1).as_kernel(),
             descriptor={"family": "montee", "m": m, "k": k, "t": t},
             support_edge=math.cos(t),
         )
 
-    @on_interval
     def __call__(self, x):
         return self.as_kernel()(x)
 
@@ -428,22 +425,15 @@ def cap_kernel_coefficients(d: int, s: float) -> CapCoeffs:
     return CapCoeffs(dim=d, s=s, a=a, products=products)
 
 
-@lru_cache(maxsize=256)
-def _cap_coefficients(d: int, s: float) -> CapCoeffs:
-    """cap_kernel_coefficients(d, s), computed once per (d, s): an evaluation
-    in query blocks calls the kernel once per block."""
-    return cap_kernel_coefficients(d, s)
-
-
-@on_interval
+# perfbench's route tracer and oracles read this by name; it goes with the benchmark change (ROADMAP item 1)
 def eval_cap_kernel(d: int, s: float, x):
     """N_d(x): zero for x <= cos(2s), exactly 1 at x = 1."""
     return CapConvKernel(d, s).as_kernel()(x)
 
 
-def _cap_profile(d: int, s: float, x: np.ndarray) -> np.ndarray:
+def _cap_profile(coeffs: CapCoeffs, x: np.ndarray) -> np.ndarray:
     """N_d on [cos 2s, 1], exactly 0 at the edge, where the formula leaves roundoff."""
-    coeffs = _cap_coefficients(d, s)
+    d = coeffs.dim
     theta = np.arccos(x)
     # tan(theta/2) = sqrt((1-x)/(1+x)) without the cancellation in 1-x near x = 1
     q = 0.5 * theta
@@ -461,7 +451,7 @@ def _cap_profile(d: int, s: float, x: np.ndarray) -> np.ndarray:
     theta *= coeffs.b
     theta += 1.0
     theta += q
-    theta[x == math.cos(2.0 * s)] = 0.0
+    theta[x == math.cos(2.0 * coeffs.s)] = 0.0
     return theta
 
 
@@ -474,13 +464,12 @@ class CapConvKernel:
 
     @property
     def coeffs(self) -> CapCoeffs:
-        return _cap_coefficients(self.d, self.s)
+        return cap_kernel_coefficients(self.d, self.s)
 
     def as_kernel(self) -> ZonalKernel:
-        d, s = self.d, self.s
-        self.coeffs  # validate range and positivity before returning
+        d, s, coeffs = self.d, self.s, self.coeffs  # validates range and positivity
         return ZonalKernel(
-            fn=lambda x: _cap_profile(d, s, x),
+            fn=lambda x: _cap_profile(coeffs, x),
             name=f"N_{d}(s={s:g})",
             breakpoints=(math.cos(2.0 * s), 1.0),
             descriptor={"family": "cap_conv", "d": d, "s": s},

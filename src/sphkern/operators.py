@@ -2,14 +2,14 @@
 
 Montee integrates from -1 ((I f)(x) = int_{-1}^{x} f(u) du) and raises
 smoothness while stepping the sphere dimension down by two; descente
-differentiates ((D f)(x) = f'(x)) and steps it up by two.  Both are provided
-numerically, so they can serve as oracles against closed forms, together
-with exact identities on the Gegenbauer family and the coefficient-level
-derivative map.  Both take arrays of x in batches: the montee refines
-batches of panels with one kernel call each (quadrature.cumulative_integral),
-and the descente runs one Ridders tableau for all points, one kernel call
-per column, with flagged one-sided stencils at and near the guards
-(breakpoints and x = +-1).
+differentiates ((D f)(x) = f'(x)) and steps it up by two.  Both are numeric
+only, with no analytic shortcut, so they serve as independent oracles
+against closed forms, together with exact identities on the Gegenbauer
+family and the coefficient-level derivative map.  Both take arrays of x in
+batches: the montee refines batches of panels with one kernel call each
+(quadrature.cumulative_integral), and the descente runs one Ridders tableau
+for all points, one kernel call per column, with flagged one-sided stencils
+at and near the guards (breakpoints and x = +-1).
 
 All operations are pure; OperatorImage captures immutable sources and is
 safe for concurrent evaluation.
@@ -118,18 +118,15 @@ def _one_sided(f, x: np.ndarray, h: np.ndarray, direction: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class OperatorImage:
-    """Result of applying montee or descente to a zonal kernel.
+    """Result of applying montee or descente to a zonal kernel, numerically.
 
-    provenance is 'analytic' when an exact fast path was available (a kernel
-    that records its derivative), 'numeric' otherwise.  ``value_and_flag``
-    exposes whether a one-sided stencil was used (at or near a registered
-    breakpoint or an end of [-1, 1]); ``flag_fn`` maps an array of x to the
-    values and those flags.
+    ``value_and_flag`` exposes whether a one-sided stencil was used (at or
+    near a registered breakpoint or an end of [-1, 1]); ``flag_fn`` maps an
+    array of x to the values and those flags.
     """
 
     source: ZonalKernel
     op: str
-    provenance: str
     breakpoints: tuple
     evaluator: Callable
     flag_fn: Callable | None = None
@@ -150,12 +147,10 @@ class OperatorImage:
         return float(value[0]), bool(flag[0])
 
     def as_kernel(self) -> ZonalKernel:
-        derivative = self.source if self.op == "montee" else None
         return ZonalKernel(
             fn=self.evaluator,
             name=f"{self.op}({self.source.name})",
             breakpoints=self.breakpoints,
-            derivative=derivative,
             support_edge=self.source.support_edge,
         )
 
@@ -177,43 +172,32 @@ def montee_numeric(f: ZonalKernel, tol: float = 1e-10) -> OperatorImage:
     return OperatorImage(
         source=f,
         op="montee",
-        provenance="numeric",
         breakpoints=f.breakpoints,
         evaluator=eval_array,
     )
 
 
 def descente_numeric(f: ZonalKernel, tol: float = 1e-8) -> OperatorImage:
-    """Pointwise derivative (D f)(x) = f'(x).
+    """Pointwise derivative (D f)(x) = f'(x), always numeric.
 
-    When the kernel records an exact derivative (montee images do) it is
-    returned directly with provenance 'analytic'.  Otherwise a Ridders
-    extrapolated central difference (10 columns, step h = max(1e-5,
-    1e-2 sqrt(tol)) shrinking by 1.4) is used, batched over all x: one call
-    of f per tableau column, with per-point early stopping as a mask.  The
-    guards are the registered interior breakpoints and x = +-1.  Within 2h
-    of a guard the first central step would have to shrink to half the
-    distance, where roundoff takes over, so the value comes from a flagged
-    5-point one-sided stencil (one call of f per step size) instead,
-    pointed away from the nearest guard.  The exception is an end the
-    kernel lists in its breakpoints (sqrt-type behaviour there): the
-    stencil would reach into that behaviour, so the shrinking central step
-    stays.  At a guard itself (within 1e-12 of a breakpoint, 64 ulp of
+    No kernel records its derivative, so the image never depends on how f
+    was built.  A Ridders extrapolated central difference (10 columns, step
+    h = max(1e-5, 1e-2 sqrt(tol)) shrinking by 1.4) is used, batched over
+    all x: one call of f per tableau column, with per-point early stopping
+    as a mask.  The guards are the registered interior breakpoints and
+    x = +-1.  Within 2h of a guard the first central step would have to
+    shrink to half the distance, where roundoff takes over, so the value
+    comes from a flagged 5-point one-sided stencil (one call of f per step
+    size) instead, pointed away from the nearest guard.  The exception is
+    an end the kernel lists in its breakpoints (sqrt-type behaviour there):
+    the stencil would reach into that behaviour, so the shrinking central
+    step stays.  At a guard itself (within 1e-12 of a breakpoint, 64 ulp of
     +-1) the stencil points towards x = 1 below x = 0.5 and towards -1
     from there on.  A stencil's step is at most 1/16 of the distance to
     the next guard ahead of it, so it never reaches past that guard.
     Below the kernel's support edge f vanishes on an open set, so the image
     is 0 there, even where a stencil at the edge would reach across it.
     """
-    if f.derivative is not None:
-        return OperatorImage(
-            source=f,
-            op="descente",
-            provenance="analytic",
-            breakpoints=f.breakpoints,
-            evaluator=f.derivative,
-        )
-
     bps = np.asarray(sorted(set(f.interior_breakpoints())), dtype=float)
     guards = np.concatenate([bps, [-1.0, 1.0]])
     # an end the kernel registers as a breakpoint has sqrt-type behaviour,
@@ -252,7 +236,6 @@ def descente_numeric(f: ZonalKernel, tol: float = 1e-8) -> OperatorImage:
     return OperatorImage(
         source=f,
         op="descente",
-        provenance="numeric",
         breakpoints=f.breakpoints,
         evaluator=lambda xs: value_and_flag(xs)[0],
         flag_fn=value_and_flag,

@@ -15,9 +15,6 @@ Kernels carry structural metadata used throughout the package:
   compact supports, jumps of indicators).  Quadratures split there.  The
   endpoint 1.0 is listed when the profile has sqrt-type behaviour at x = 1
   (equivalently a kink at theta = 0 of the pulled-back profile).
-* ``derivative`` -- the exact a.e. derivative when it is known, e.g. when the
-  kernel was built as an antiderivative.  The descente operator uses this as
-  an analytic fast path.
 * ``antiderivative_fn`` -- factory returning the exact cumulative integral
   from -1 when one is known: every truncated power and montee iterate (one
   exact montee algebra) and every cap indicator power records it.  Kernels
@@ -47,7 +44,6 @@ class ZonalKernel:
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = ""
     breakpoints: tuple = ()
-    derivative: Optional["ZonalKernel"] = None
     antiderivative_fn: Optional[Callable[[], "ZonalKernel"]] = field(default=None, repr=False)
     descriptor: Optional[dict] = None
     support_edge: float = -1.0

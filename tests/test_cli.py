@@ -75,7 +75,7 @@ MALFORMED = [
     ('{"family": "truncated_power", "m": 2, "t": [1]}', 2),
     ('{"family": "cap_conv", "d": Infinity, "s": 0.5}', 2),
     ('{"family": "series", "coeffs": [], "lambda": 1.0}', 2),
-    ('{"family": "series", "coeffs": [1.0, 0.5], "lambda": 1e300}', 3),
+    ('{"family": "series", "coeffs": [1.0, 0.5], "lambda": 1e300}', 2),
     ('{"family": "montee", "m": 2, "k": 1000, "t": 1.0}', 2),
     ('{"family": "montee", "m": 1000, "k": 1, "t": 1.0}', 2),
     ('{"family": "montee", "m": 171, "k": 1, "t": 1.0}', 2),
@@ -181,6 +181,12 @@ class TestCoeffs:
         assert rc == 0
         _, rows = read_rows(out)
         assert len(rows) == 1
+
+    def test_lambda_past_the_bound_exit_2(self, capsys):
+        # lambda = 1e15 printed a table from C^lam_1(1) = 7.9e13, not 2e15
+        assert run_main(["coeffs", "--kernel", F2_DESC, "--lambda", "1e15", "--trunc", "2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "at most 1000" in err[0]
 
 
 class TestVerify:
@@ -415,6 +421,32 @@ class TestInterp:
         centers = np.array(payload["centers"])
         assert np.allclose(centers[0], [1, 0, 0], atol=1e-15)
         assert np.allclose(centers[2], [0, 0, 1], atol=1e-15)
+
+
+ROW_TABLES = {
+    "eval": ["eval", "--kernel", F2_DESC, "--grid", "9"],
+    "coeffs": ["coeffs", "--kernel", F2_DESC, "--lambda", "1", "--trunc", "6", "--quad-order", "64"],
+    "conv_coeffs": ["conv", "--cap-s", "1.0", "--lambda", "1", "--table", "coeffs", "--trunc", "6"],
+    "conv_values": ["conv", "--cap-s", "1.0", "--lambda", "1", "--grid", "7"],
+}
+
+
+class TestFormats:
+    @pytest.mark.parametrize("name", sorted(ROW_TABLES))
+    def test_csv_and_json_hold_the_same_rows(self, tmp_path, name):
+        csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+        assert run_main([*ROW_TABLES[name], "--out", str(csv_out)]) == 0
+        assert run_main([*ROW_TABLES[name], "--format", "json", "--out", str(json_out)]) == 0
+        header, rows = read_rows(csv_out)
+        table = json.loads(json_out.read_text())
+        assert table["columns"] == header.split(",")
+        assert len(rows) > 0
+        # 17 significant digits give back the JSON float exactly
+        assert [[float(v) for v in row] for row in rows] == table["rows"]
+        if header.startswith("n,"):
+            n = list(range(len(rows)))
+            assert [row[0] for row in rows] == [str(k) for k in n]
+            assert [row[0] for row in table["rows"]] == n and all(type(row[0]) is int for row in table["rows"])
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ import inspect
 import math
 import pkgutil
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import sphkern
 from sphkern.convolution import cap_indicator, cap_montee_selfconv0_closed, conv0_kernel, dimension_hop_conv
 from sphkern.errors import ResourceLimitError
 from sphkern.gegenbauer import (
+    MAX_LAMBDA,
     GegenbauerParams,
     SeriesCoeffs,
     _w_table,
@@ -39,7 +41,7 @@ from sphkern.kernels import (
     eval_montee_recurrence,
     eval_truncated_power,
 )
-from sphkern.operators import descente_numeric, montee_numeric
+from sphkern.operators import check_D_on_gegenbauer, descente_numeric, montee_numeric
 from sphkern.zonal import ZonalKernel, constant_kernel, gegenbauer_kernel
 
 P0 = GegenbauerParams(0.0)
@@ -150,6 +152,24 @@ class TestAtOne:
 
     def test_large_degree_no_overflow(self):
         assert math.isfinite(gegenbauer_at_one(P2, 10_000))
+
+    def test_largest_lambda_against_the_exact_product(self):
+        # C^lam_n(1) = prod_{k <= n} (2 lam + k - 1) / k, exactly in Fractions;
+        # the gamma ratio's relative error grows like 2e-15 lam
+        p = GegenbauerParams(MAX_LAMBDA)
+        exact = Fraction(1)
+        for n in range(1, 101):
+            exact *= Fraction(2 * MAX_LAMBDA + n - 1, n)
+            assert abs(gegenbauer_at_one(p, n) / float(exact) - 1.0) <= 1e-11, n
+
+    @pytest.mark.parametrize("lam", (1000.5, 1e5, 1e15))
+    def test_lambda_past_the_bound_raises(self, lam):
+        with pytest.raises(ResourceLimitError, match="at most 1000"):
+            GegenbauerParams(lam)
+
+    def test_a_step_past_the_bound_raises(self):
+        with pytest.raises(ResourceLimitError, match="at most 1000"):
+            check_D_on_gegenbauer(GegenbauerParams(MAX_LAMBDA), 1)
 
 
 class TestNormH:
@@ -424,7 +444,19 @@ def _on_interval_evaluators() -> dict:
 class TestOnIntervalSignatures:
     def test_x_is_last_positional_and_options_are_keyword_only(self):
         found = _on_interval_evaluators()
-        assert len(found) >= 12, sorted(found.values())
+        # the free evaluators and the family __call__ methods reach these
+        # through ZonalKernel.__call__, so they carry no wrapper of their own
+        assert sorted(found.values()) == [
+            "sphkern.convolution.cap_montee_selfconv0_closed",
+            "sphkern.convolution.dimension_hop_conv",
+            "sphkern.gegenbauer.eval_gegenbauer",
+            "sphkern.gegenbauer.eval_gegenbauer_derivative",
+            "sphkern.gegenbauer.series_eval",
+            "sphkern.kernels.eval_montee_closed_form",
+            "sphkern.kernels.eval_montee_recurrence",
+            "sphkern.operators.OperatorImage.__call__",
+            "sphkern.zonal.ZonalKernel.__call__",
+        ]
         positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
         for fn, label in found.items():
             params = list(inspect.signature(fn).parameters.values())

@@ -146,15 +146,21 @@ class TestMonteeIterate:
         grid = np.linspace(-1.0, 1.0, 1001)
         oracle = montee_numeric(previous, tol=1e-12)
         assert np.max(np.abs(kernel(grid) - oracle(grid))) <= 1e-10
-        assert np.array_equal(kernel.derivative(grid), previous(grid))
         assert kernel.antiderivative() is not None
 
-    def test_derivative_chain(self):
-        t = 1.0
-        i2 = MonteeIterate(TruncatedPower(3, t), 2).as_kernel()
-        assert i2.derivative is not None
-        grid = np.linspace(-1.0, 1.0, 101)
-        assert np.allclose(i2.derivative(grid), eval_montee_closed_form("If3", t, grid))
+    def test_builds_one_kernel(self, monkeypatch):
+        # an iterate records no chain of derivative kernels, so I^50 f_4
+        # costs one ZonalKernel, not 51
+        built = []
+
+        class Spy(ZonalKernel):
+            def __init__(self, **fields):
+                super().__init__(**fields)
+                built.append(self.name)
+
+        monkeypatch.setattr(kernels, "ZonalKernel", Spy)
+        kernel = MonteeIterate(TruncatedPower(4, 1.0), 50).as_kernel()
+        assert built == [kernel.name]
 
     def test_support_matches_base(self):
         t = 1.5
@@ -260,7 +266,8 @@ class TestCapKernels:
         assert eval_cap_kernel(9, 0.6, math.cos(1.3)) == 0.0
 
     def test_coefficients_are_computed_once_per_kernel(self, monkeypatch):
-        # an interpolant evaluated in query blocks calls eval_cap_kernel once a block
+        # an interpolant evaluated in query blocks calls the kernel once a
+        # block; the coefficients come from its build, not from each call
         calls = []
 
         def counted(d, s):
@@ -268,12 +275,12 @@ class TestCapKernels:
             return cap_kernel_coefficients(d, s)
 
         kernel = CapConvKernel(5, 0.6).as_kernel()
-        kernels._cap_coefficients.cache_clear()
         monkeypatch.setattr(kernels, "cap_kernel_coefficients", counted)
         xs = np.linspace(-1.0, 1.0, 101)
         first = kernel(xs)
         for _ in range(3):
             assert np.array_equal(kernel(xs), first)
+        assert calls == []
         assert np.array_equal(eval_cap_kernel(5, 0.6, xs), first)
         assert calls == [(5, 0.6)]
 
