@@ -20,13 +20,12 @@ from .gegenbauer import (
     eval_gegenbauer,
     eval_gegenbauer_derivative,
     gegenbauer_at_one,
-    norm_h,
     quadrature_rule,
     series_eval,
     transform,
     weight_w,
 )
-from .zonal import ZonalKernel, constant_kernel, gegenbauer_kernel, zero_kernel
+from .zonal import ZonalKernel, constant_kernel, gegenbauer_kernel
 from .operators import (
     OperatorImage,
     check_D_on_gegenbauer,

@@ -171,7 +171,7 @@ def check_coeff_map(tol: float = 1e-4) -> CheckResult:
     f2 = TruncatedPower(2, math.pi / 2.0).as_kernel()
     a_exp = transform(f2, p1, 31, order=400).expansion_coeffs()
     mapped = coeff_map_derivative(SeriesCoeffs(params=p1, coeffs=a_exp, truncation=31))
-    derivative = descente_numeric(f2, tol=1e-8).as_kernel()
+    derivative = descente_numeric(f2).as_kernel()
     b_exp = transform(derivative, p2, 30, order=400).expansion_coeffs()
     dev = float(np.max(np.abs(mapped.coeffs - b_exp)))
     return _result("coeff_map_derivative", dev, tol)
@@ -226,7 +226,7 @@ def check_roundtrip_DI(tol: float = 1e-6) -> CheckResult:
     """(D I f) = f for f = f_2(t=1), differencing fully numerically."""
     f2 = TruncatedPower(2, 1.0).as_kernel()
     image = montee_numeric(f2, tol=1e-12)
-    derivative = descente_numeric(image.as_kernel(), tol=1e-8)
+    derivative = descente_numeric(image.as_kernel())
     knot = math.cos(1.0)
     grid = np.concatenate(
         [np.linspace(-0.98, knot - 0.02, 80), np.linspace(knot + 0.02, 0.95, 80)]
@@ -242,7 +242,7 @@ def check_roundtrip_ID(tol: float = 1e-6) -> CheckResult:
         fn=lambda x: np.asarray(eval_montee_closed_form("If3", t, x)),
         breakpoints=(math.cos(t), 1.0),
     )
-    derivative = descente_numeric(kernel, tol=1e-8).as_kernel()
+    derivative = descente_numeric(kernel).as_kernel()
     image = montee_numeric(derivative, tol=1e-9)
     grid = np.linspace(-0.95, 0.95, 21)
     dev = np.max(np.abs(image(grid) - (kernel(grid) - kernel(-1.0))))
@@ -299,9 +299,7 @@ def check_n3_oracle(tol: float = 1e-6) -> CheckResult:
         a = cap_kernel_coefficients(3, s).a
         ig = _cap_power(c, 1)
         conv = conv0_kernel(ig, ig, order=64)
-        derivative = descente_numeric(
-            ZonalKernel(fn=conv.fn, breakpoints=conv.breakpoints), tol=1e-8
-        )
+        derivative = descente_numeric(ZonalKernel(fn=conv.fn, breakpoints=conv.breakpoints))
         lo, hi = math.cos(2.0 * s) + 0.02, 0.985
         xs = np.linspace(lo, hi, 101)
         dev = np.max(np.abs(derivative(xs) / a - eval_cap_kernel(3, s, xs)))
@@ -327,7 +325,7 @@ def check_cap_transform(tol: float = 1e-10) -> CheckResult:
         p = GegenbauerParams(lam)
         for c in (-0.5, 0.0, 0.5):
             for n in range(1, 16):
-                dev = abs(cap_transform(p, c, n) - cap_transform_quadrature(p, c, n, order=200))
+                dev = abs(cap_transform(p, c, n) - cap_transform_quadrature(p, c, n))
                 worst = max(worst, dev)
     return _result("cap_transform", worst, tol)
 

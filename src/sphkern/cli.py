@@ -1,9 +1,15 @@
 """Command-line surface: kernel tables, coefficient dumps, verification,
 convolution experiments, cap-kernel coefficients, interpolation, point sets.
 
+Each subcommand takes only the options it reads; any other option is an
+argparse error (exit 2).  Every row table (eval, coeffs, conv, gen-points
+and the interp evaluation table) is written by one writer, as CSV or as
+JSON {"columns", "rows"}; verify, caps and the interpolant are JSON only.
+
 Exit codes are stable across subcommands: 0 success, 1 verification failure,
-2 input/validation error, 3 numerical failure (non-SPD Gram matrix, accuracy
-loss).  Every run is deterministic: identical arguments produce
+2 input/validation error, including an input too large to compute (a
+resource bound or MemoryError), 3 numerical failure (non-SPD Gram matrix,
+accuracy loss).  Every run is deterministic: identical arguments produce
 byte-identical output (floats render with 17 significant digits).
 """
 
@@ -41,15 +47,18 @@ def _optional_params(args) -> GegenbauerParams | None:
     return GegenbauerParams(args.lam) if args.lam is not None else None
 
 
-def _emit(args, text: str):
-    if args.out:
-        with open(args.out, "w") as fh:
+def _emit(path: str | None, text: str):
+    """Write text to path, or to stdout when path is None."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _load_descriptor(raw: str) -> dict:
+def _load_descriptor(raw: str | None) -> dict | None:
+    if not raw:
+        return None
     raw = raw.strip()
     if raw.startswith("{"):
         return json.loads(raw)
@@ -57,23 +66,16 @@ def _load_descriptor(raw: str) -> dict:
         return json.load(fh)
 
 
-def _table(rows, header: str, preamble: str = "") -> str:
-    lines = []
-    if preamble:
-        lines.append(preamble)
-    lines.append(header)
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
-
-
-def _emit_rows(args, columns, rows, preamble: str = ""):
-    """Rows of Python numbers as JSON {"columns", "rows"}, or as a CSV table
-    under the preamble with every number formatted as _fmt does."""
-    if args.fmt == "json":
-        _emit(args, json.dumps({"columns": list(columns), "rows": rows}, sort_keys=True) + "\n")
-    else:
-        line = ",".join(["{:.17g}"] * len(columns))
-        _emit(args, _table([line.format(*row) for row in rows], ",".join(columns), preamble))
+def _emit_rows(path: str | None, columns, rows, preamble: str = "", fmt: str = "csv"):
+    """Rows of Python numbers to path (stdout when None), as JSON
+    {"columns", "rows"} or as a CSV table under the preamble with every
+    number formatted as _fmt does."""
+    if fmt == "json":
+        _emit(path, json.dumps({"columns": list(columns), "rows": rows}, sort_keys=True) + "\n")
+        return
+    line = ",".join(["{:.17g}"] * len(columns))
+    head = [preamble] if preamble else []
+    _emit(path, "\n".join([*head, ",".join(columns), *(line.format(*row) for row in rows)]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +96,8 @@ def cmd_eval(args) -> int:
             raise EvaluationError("kernel produced non-finite values on the grid")
     else:
         xs = theta = vals = np.empty(0)
-    _emit_rows(args, ("x", "theta", "value"), list(zip(xs.tolist(), theta.tolist(), vals.tolist())))
+    rows = list(zip(xs.tolist(), theta.tolist(), vals.tolist()))
+    _emit_rows(args.out, ("x", "theta", "value"), rows, fmt=args.fmt)
     return 0
 
 
@@ -107,7 +110,7 @@ def cmd_coeffs(args) -> int:
         f"# expansion f ~ sum_n coeff[n] * W^lambda_n at lambda={_fmt(params.lam)}; "
         "divide coeff[n] by C^lambda_n(1) for the plain Gegenbauer basis"
     )
-    _emit_rows(args, ("n", "coeff"), list(enumerate(coeffs.tolist())), preamble=note)
+    _emit_rows(args.out, ("n", "coeff"), list(enumerate(coeffs.tolist())), preamble=note, fmt=args.fmt)
     return 0
 
 
@@ -117,7 +120,7 @@ def cmd_verify(args) -> int:
         "checks": [r.to_dict() for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    _emit(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _emit(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if report["all_passed"] else 1
 
 
@@ -142,7 +145,7 @@ def cmd_conv(args) -> int:
         fhat = transform(f, params, args.trunc, order=args.quad_order)
         ghat = transform(g, params, args.trunc, order=args.quad_order)
         prod = conv_lambda_coeffs(fhat, ghat)
-        _emit_rows(args, ("n", "coeff"), list(enumerate(prod.coeffs.tolist())))
+        _emit_rows(args.out, ("n", "coeff"), list(enumerate(prod.coeffs.tolist())), fmt=args.fmt)
         return 0
     lam = params.lam
     if abs(lam - round(lam)) > 1e-12:
@@ -155,7 +158,7 @@ def cmd_conv(args) -> int:
         vals = conv0(f, g, theta, order=args.quad_order)
     else:
         vals = dimension_hop_conv(f, g, GegenbauerParams(float(lam - 1)), xs, order=args.quad_order)
-    _emit_rows(args, ("x", "value"), list(zip(xs.tolist(), vals.tolist())))
+    _emit_rows(args.out, ("x", "value"), list(zip(xs.tolist(), vals.tolist())), fmt=args.fmt)
     return 0
 
 
@@ -170,7 +173,7 @@ def cmd_caps(args) -> int:
         "products": dict(sorted(coeffs.products.items())),
         "coefficients": dict(sorted(ratios.items())),
     }
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -211,20 +214,13 @@ def cmd_interp(args) -> int:
     if values.shape != (len(pts),):
         raise ValueError(f"value count {values.size} does not match point count {len(pts)}")
     kernel = kernel_from_descriptor(args.descriptor, params=_optional_params(args))
-    tol = args.tol if args.tol is not None else 1e-9
-    itp = solve_interpolation(pts, values, kernel, residual_tol=tol)
-    _emit(args, json.dumps(itp.to_dict(), sort_keys=True) + "\n")
+    itp = solve_interpolation(pts, values, kernel, residual_tol=args.tol)
+    _emit(args.out, json.dumps(itp.to_dict(), sort_keys=True) + "\n")
     if args.eval_points:
         q = _read_matrix(args.eval_points)
         vals = evaluate_interpolant(itp, q)
-        header = ",".join(f"x{i}" for i in range(q.shape[1])) + ",value"
-        rows = [",".join(_fmt(c) for c in row) + f",{_fmt(v)}" for row, v in zip(q, vals)]
-        text = _table(rows, header)
-        if args.eval_out:
-            with open(args.eval_out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        columns = [f"x{i}" for i in range(q.shape[1])] + ["value"]
+        _emit_rows(args.eval_out, columns, np.column_stack([q, vals]).tolist())
     return 0
 
 
@@ -234,14 +230,17 @@ def cmd_gen_points(args) -> int:
         raise ValueError(f"lambda = {args.lam} is not (d - 1)/2 for an integer sphere dimension d")
     d = int(d)
     pts = generate_points(d, args.n, scheme=args.scheme, seed=args.seed)
-    header = ",".join(f"x{i}" for i in range(d + 1))
-    rows = [",".join(_fmt(c) for c in row) for row in pts.points]
-    _emit(args, _table(rows, header))
+    _emit_rows(args.out, [f"x{i}" for i in range(d + 1)], pts.points.tolist(), fmt=args.fmt)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _sphere_dim(text: str) -> float:
+    """--sphere-dim d, stored as lambda = (d - 1) / 2."""
+    return (int(text) - 1) / 2.0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -251,50 +250,56 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    group = common.add_mutually_exclusive_group()
+    # option groups shared between subcommands; each command takes only the
+    # groups it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=str, default=None, help="output path (stdout otherwise)")
+    rows = argparse.ArgumentParser(add_help=False, parents=[out])
+    rows.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    lam = argparse.ArgumentParser(add_help=False)
+    group = lam.add_mutually_exclusive_group()
     group.add_argument("--lambda", dest="lam", type=float, help="Gegenbauer index lambda")
-    group.add_argument("--sphere-dim", dest="sphere_dim", type=int, help="sphere dimension d; lambda=(d-1)/2")
-    common.add_argument("--trunc", type=int, default=40, help="series truncation N")
-    common.add_argument("--quad-order", type=int, default=128, help="quadrature order / nodes per panel")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common.add_argument("--out", type=str, default=None, help="output path (stdout otherwise)")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    group.add_argument("--sphere-dim", dest="lam", type=_sphere_dim, metavar="D", help="sphere dimension d; lambda=(d-1)/2")
+    series = argparse.ArgumentParser(add_help=False)
+    series.add_argument("--trunc", type=int, default=40, help="series truncation N")
+    series.add_argument("--quad-order", type=int, default=128, help="quadrature order / nodes per panel")
 
-    p_eval = sub.add_parser("eval", parents=[common], help="tabulate a kernel over a grid")
-    p_eval.add_argument("--kernel", required=True, help="kernel descriptor JSON (inline or @file path)")
+    p_eval = sub.add_parser("eval", parents=[lam, rows], help="tabulate a kernel over a grid")
+    p_eval.add_argument("--kernel", required=True, help="kernel descriptor JSON (inline or a file path)")
     p_eval.add_argument("--grid", type=int, default=101)
     p_eval.add_argument("--grid-space", choices=("x", "theta"), default="x")
 
-    p_coeffs = sub.add_parser("coeffs", parents=[common], help="Fourier-Gegenbauer coefficient table")
+    p_coeffs = sub.add_parser("coeffs", parents=[lam, series, rows], help="Fourier-Gegenbauer coefficient table")
     p_coeffs.add_argument("--kernel", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run the verification suites")
+    p_verify = sub.add_parser("verify", parents=[out], help="run the verification suites")
+    p_verify.add_argument("--tol", type=float, default=None, help="override every check's tolerance")
     p_verify.add_argument("--check", action="append", default=[], choices=check_names(), help="run only this check (repeatable)")
 
-    p_conv = sub.add_parser("conv", parents=[common], help="convolution tables")
+    p_conv = sub.add_parser("conv", parents=[lam, series, rows], help="convolution tables")
     p_conv.add_argument("--kernel", default=None)
     p_conv.add_argument("--kernel2", default=None)
     p_conv.add_argument("--cap-s", type=float, default=None, help="self-convolve the cap indicator of angle s")
     p_conv.add_argument("--grid", type=int, default=101)
     p_conv.add_argument("--table", choices=("values", "coeffs"), default="values", help="x,value grid or n,coeff products")
 
-    p_caps = sub.add_parser("caps", parents=[common], help="cap kernel coefficient sets")
+    p_caps = sub.add_parser("caps", parents=[out], help="cap kernel coefficient sets")
     p_caps.add_argument("--d", type=int, required=True, choices=(3, 5, 7, 9))
     p_caps.add_argument("--s", type=float, required=True)
 
-    p_interp = sub.add_parser("interp", parents=[common], help="scattered-data interpolation")
+    p_interp = sub.add_parser("interp", parents=[lam, out], help="scattered-data interpolation")
     p_interp.add_argument("--points", dest="points_file", required=True)
     p_interp.add_argument("--values", dest="values_file", required=True)
     p_interp.add_argument("--kernel", required=True)
     p_interp.add_argument("--lonlat", action="store_true", help="points file holds lon,lat in degrees (S^2)")
     p_interp.add_argument("--eval-points", default=None, help="CSV of query points to evaluate")
     p_interp.add_argument("--eval-out", default=None, help="path for the evaluation table")
+    p_interp.add_argument("--tol", type=float, default=1e-9, help="residual tolerance of the solve")
 
-    p_gen = sub.add_parser("gen-points", parents=[common], help="deterministic point sets on S^d")
+    p_gen = sub.add_parser("gen-points", parents=[lam, rows], help="deterministic point sets on S^d")
     p_gen.add_argument("--n", type=int, default=100)
     p_gen.add_argument("--scheme", choices=("random_seeded", "fibonacci_s2"), default="fibonacci_s2")
+    p_gen.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -314,21 +319,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.sphere_dim is not None:
-            args.lam = (args.sphere_dim - 1) / 2.0
-        args.descriptor = _load_descriptor(args.kernel) if getattr(args, "kernel", None) else None
-        args.descriptor2 = _load_descriptor(args.kernel2) if getattr(args, "kernel2", None) else None
+        args.descriptor = _load_descriptor(getattr(args, "kernel", None))
+        args.descriptor2 = _load_descriptor(getattr(args, "kernel2", None))
         return _DISPATCH[args.command](args)
-    except NotPositiveDefiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (AccuracyError, EvaluationError) as exc:
+    except (NotPositiveDefiniteError, AccuracyError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OverflowError as exc:
         print(f"error: floating-point overflow: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 2
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -352,13 +352,13 @@ def cap_transform(params: GegenbauerParams, c: float, n: int) -> float:
     )
 
 
-def cap_transform_quadrature(params: GegenbauerParams, c: float, n: int, order: int = 200) -> float:
+def cap_transform_quadrature(params: GegenbauerParams, c: float, n: int) -> float:
     """Direct quadrature of int_c^1 C^lam_n dOmega_lam (oracle route).
 
     Pulled back to theta in [0, arccos c], where the integrand is smooth for
-    every lambda >= 0.
+    every lambda >= 0; one 200-node Gauss-Legendre panel.
     """
-    theta, w = panel_rule((0.0, math.acos(float(np.clip(c, -1.0, 1.0)))), order)
+    theta, w = panel_rule((0.0, math.acos(float(np.clip(c, -1.0, 1.0)))), 200)
     vals = np.asarray(eval_gegenbauer(params, n, np.cos(theta))) * np.sin(theta) ** (2.0 * params.lam)
     return float(w @ vals)
 

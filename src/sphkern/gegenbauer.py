@@ -1,9 +1,9 @@
 """Gegenbauer (ultraspherical) polynomials for the weight (1-x^2)^(lambda-1/2).
 
-Evaluation by three-term recurrence, closed-form values at x = 1, L2 norms,
-the normalized family W^lam_n = C^lam_n / C^lam_n(1), Gauss quadrature for
-the measure dOmega_lam = (1-x^2)^(lambda-1/2) dx, and the Fourier-Gegenbauer
-transform / series reconstruction built on top of it.
+Evaluation by three-term recurrence, closed-form values at x = 1, the dual
+weights of the normalized family W^lam_n = C^lam_n / C^lam_n(1), Gauss
+quadrature for the measure dOmega_lam = (1-x^2)^(lambda-1/2) dx, and the
+Fourier-Gegenbauer transform / series reconstruction built on top of it.
 
 The index lambda = (d-1)/2 ties the family to the sphere S^d.  lambda = 0 is
 handled as an explicit Chebyshev branch, C^0_n = (2/n) T_n for n > 0 and
@@ -24,7 +24,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from .errors import EvaluationError, ResourceLimitError
-from .quadrature import theta_rule
+from .quadrature import check_quad_order, theta_rule
 
 __all__ = [
     "GegenbauerParams",
@@ -34,7 +34,6 @@ __all__ = [
     "eval_gegenbauer",
     "eval_gegenbauer_derivative",
     "gegenbauer_at_one",
-    "norm_h",
     "weight_w",
     "quadrature_rule",
     "transform",
@@ -44,8 +43,6 @@ __all__ = [
 
 #: Inputs this far outside [-1, 1] are clamped; anything further is an error.
 X_CLAMP_SLACK = 1e-12
-
-MAX_QUAD_ORDER = 100_000
 
 #: Largest lambda (sphere dimension 2001).  The gamma ratios of
 #: gegenbauer_at_one and weight_w lose about 2e-15 lambda relative accuracy
@@ -176,24 +173,6 @@ def gegenbauer_at_one(params: GegenbauerParams, n: int) -> float:
     return math.exp(gammaln(n + 2.0 * params.lam) - gammaln(2.0 * params.lam) - gammaln(n + 1.0))
 
 
-def norm_h(params: GegenbauerParams, n: int) -> float:
-    """Squared L2 norm h^lam_n = int (C^lam_n)^2 dOmega_lam, lambda > 0 only."""
-    if n < 0:
-        raise ValueError("degree n must be nonnegative")
-    lam = params.lam
-    if lam == 0.0:
-        raise ValueError("norm_h is not defined at lambda = 0; use weight_w for the Chebyshev branch")
-    log_h = (
-        math.log(math.pi)
-        + gammaln(n + 2.0 * lam)
-        - (2.0 * lam - 1.0) * math.log(2.0)
-        - gammaln(n + 1.0)
-        - math.log(n + lam)
-        - 2.0 * gammaln(lam)
-    )
-    return math.exp(log_h)
-
-
 def weight_w(params: GegenbauerParams, n: int) -> float:
     """Dual weight w_lam(n): int W^lam_n W^lam_m dOmega_lam = delta_nm / w_lam(n)."""
     if n < 0:
@@ -256,8 +235,7 @@ def quadrature_rule(params: GegenbauerParams, order: int) -> QuadratureRule:
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    if order > MAX_QUAD_ORDER:
-        raise ResourceLimitError(f"quadrature order {order} exceeds {MAX_QUAD_ORDER}")
+    check_quad_order(order)
     a = params.lam - 0.5
     mass = total_mass(params)
     if order == 1:

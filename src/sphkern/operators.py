@@ -58,6 +58,7 @@ def mu(params: GegenbauerParams) -> float:
 
 _RIDDERS_STEPS = 10
 _RIDDERS_SHRINK = 1.4
+_RIDDERS_H = 1e-5  # first (largest) step h
 
 
 def _ridders_central(f, x: np.ndarray, h0: np.ndarray) -> np.ndarray:
@@ -177,12 +178,12 @@ def montee_numeric(f: ZonalKernel, tol: float = 1e-10) -> OperatorImage:
     )
 
 
-def descente_numeric(f: ZonalKernel, tol: float = 1e-8) -> OperatorImage:
+def descente_numeric(f: ZonalKernel) -> OperatorImage:
     """Pointwise derivative (D f)(x) = f'(x), always numeric.
 
     No kernel records its derivative, so the image never depends on how f
-    was built.  A Ridders extrapolated central difference (10 columns, step
-    h = max(1e-5, 1e-2 sqrt(tol)) shrinking by 1.4) is used, batched over
+    was built.  A Ridders extrapolated central difference (10 columns, a
+    fixed first step h = 1e-5 shrinking by 1.4) is used, batched over
     all x: one call of f per tableau column, with per-point early stopping
     as a mask.  The guards are the registered interior breakpoints and
     x = +-1.  Within 2h of a guard the first central step would have to
@@ -204,7 +205,6 @@ def descente_numeric(f: ZonalKernel, tol: float = 1e-8) -> OperatorImage:
     # rough on the scale of h from either side: the central steps shrink
     # towards it instead of stepping away
     step_away = np.array([True] * bps.size + [-1.0 not in f.breakpoints, 1.0 not in f.breakpoints])
-    h_default = max(1e-5, tol ** 0.5 * 1e-2)
 
     def value_and_flag(xs: np.ndarray):
         x = xs.ravel()
@@ -215,11 +215,11 @@ def descente_numeric(f: ZonalKernel, tol: float = 1e-8) -> OperatorImage:
             np.min(np.abs(gap[:, : bps.size]), axis=1, initial=math.inf) < 1e-12
         )
         dist = np.abs(offset)
-        flagged = at_guard | ((dist < 2.0 * h_default) & step_away[nearest])
+        flagged = at_guard | ((dist < 2.0 * _RIDDERS_H) & step_away[nearest])
         out = np.empty(x.size)
         central = ~flagged
         if central.any():
-            out[central] = _ridders_central(f, x[central], np.minimum(h_default, 0.5 * dist[central]))
+            out[central] = _ridders_central(f, x[central], np.minimum(_RIDDERS_H, 0.5 * dist[central]))
         if flagged.any():
             xf = x[flagged]
             direction = np.where(
@@ -229,7 +229,7 @@ def descente_numeric(f: ZonalKernel, tol: float = 1e-8) -> OperatorImage:
             # a quarter of the way there at most
             ahead = -gap[flagged] * direction[:, None]
             room = np.min(np.where(ahead > 1e-12, ahead, math.inf), axis=1)
-            out[flagged] = _one_sided(f, xf, np.minimum(h_default, room / 16.0), direction)
+            out[flagged] = _one_sided(f, xf, np.minimum(_RIDDERS_H, room / 16.0), direction)
         out[x < f.support_edge] = 0.0
         return out.reshape(xs.shape), flagged.reshape(xs.shape)
 

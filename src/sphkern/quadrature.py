@@ -1,6 +1,7 @@
 """Gauss-Legendre panel quadrature shared by every integral in the package.
 
-One cached rule per order, one panel builder and two edge policies on it:
+One cached rule per order (at most MAX_QUAD_ORDER, the bound that the
+Gauss-Gegenbauer rule shares), one panel builder and two edge policies on it:
 theta panels on [0, pi] split at breakpoints (transform, B_lambda norm) and
 circle panels on [-pi, pi] split at kink angles (*_0 and the hop), plus the
 adaptive cumulative integral behind the numeric montee, which refines
@@ -17,14 +18,29 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError
+from .errors import AccuracyError, ResourceLimitError
 
-__all__ = ["gauss_legendre", "kink_angles", "panel_rule", "theta_rule", "circle_rule", "cumulative_integral"]
+__all__ = [
+    "MAX_QUAD_ORDER", "check_quad_order", "gauss_legendre", "kink_angles",
+    "panel_rule", "theta_rule", "circle_rule", "cumulative_integral",
+]
+
+#: Largest order of a Gauss rule.  Both rules build an order x order float64
+#: matrix (leggauss's companion matrix, eigh_tridiagonal's eigenvectors),
+#: 0.75 GiB at this bound.
+MAX_QUAD_ORDER = 10_000
+
+
+def check_quad_order(order: int) -> None:
+    """Raise ResourceLimitError before a Gauss rule of order > MAX_QUAD_ORDER is built."""
+    if order > MAX_QUAD_ORDER:
+        raise ResourceLimitError(f"quadrature order {order} exceeds {MAX_QUAD_ORDER}")
 
 
 @lru_cache(maxsize=64)
 def gauss_legendre(order: int):
     """Gauss-Legendre nodes and weights on [-1, 1], read-only (shared by every caller)."""
+    check_quad_order(order)
     nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights

@@ -34,7 +34,7 @@ import numpy as np
 
 from .gegenbauer import eval_gegenbauer, on_interval
 
-__all__ = ["ZonalKernel", "constant_kernel", "zero_kernel", "gegenbauer_kernel"]
+__all__ = ["ZonalKernel", "constant_kernel", "gegenbauer_kernel"]
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,6 @@ class ZonalKernel:
 
 def constant_kernel(c: float, name: str = "") -> ZonalKernel:
     return ZonalKernel(fn=lambda x: np.full_like(x, float(c)), name=name or f"const({c})")
-
-
-def zero_kernel() -> ZonalKernel:
-    return constant_kernel(0.0, name="zero")
 
 
 def gegenbauer_kernel(params, n: int) -> ZonalKernel:

@@ -1,9 +1,11 @@
 """CLI contract tests: subcommand outputs, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphkern
-from sphkern import interpolation
-from sphkern.cli import main
+from sphkern import cli, interpolation
+from sphkern.cli import _build_parser, main
 
 N3_DESC = json.dumps({"family": "cap_conv", "d": 3, "s": math.pi / 4})
 F2_DESC = json.dumps({"family": "truncated_power", "m": 2, "t": math.pi / 2})
@@ -23,6 +25,12 @@ F2_DESC = json.dumps({"family": "truncated_power", "m": 2, "t": math.pi / 2})
 
 def run_main(argv):
     return main(argv)
+
+
+def _child_env():
+    # the child interpreter imports the same package this test run does
+    src = os.path.dirname(os.path.dirname(sphkern.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def read_rows(path):
@@ -108,14 +116,12 @@ class TestMalformedDescriptors:
 
     def test_huge_float_m_fails_fast(self):
         # _primitive_term looped m times: this ran for over 20 s
-        src = os.path.dirname(os.path.dirname(sphkern.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         desc = '{"family": "montee", "m": 1e300, "k": 1, "t": 1.0}'
         proc = subprocess.run(
             [sys.executable, "-m", "sphkern.cli", "eval", "--kernel", desc, "--grid", "5"],
             capture_output=True,
             text=True,
-            env=env,
+            env=_child_env(),
             timeout=30,
         )
         assert proc.returncode == 2
@@ -423,30 +429,137 @@ class TestInterp:
         assert np.allclose(centers[2], [0, 0, 1], atol=1e-15)
 
 
+# Each table's last option names its file; {pts} and {vals} are written by
+# the test.  interp's evaluation table is CSV only (--out holds the interpolant).
 ROW_TABLES = {
-    "eval": ["eval", "--kernel", F2_DESC, "--grid", "9"],
-    "coeffs": ["coeffs", "--kernel", F2_DESC, "--lambda", "1", "--trunc", "6", "--quad-order", "64"],
-    "conv_coeffs": ["conv", "--cap-s", "1.0", "--lambda", "1", "--table", "coeffs", "--trunc", "6"],
-    "conv_values": ["conv", "--cap-s", "1.0", "--lambda", "1", "--grid", "7"],
+    "eval": ["eval", "--kernel", F2_DESC, "--grid", "9", "--out"],
+    "coeffs": ["coeffs", "--kernel", F2_DESC, "--lambda", "1", "--trunc", "6", "--quad-order", "64", "--out"],
+    "conv_coeffs": ["conv", "--cap-s", "1.0", "--lambda", "1", "--table", "coeffs", "--trunc", "6", "--out"],
+    "conv_values": ["conv", "--cap-s", "1.0", "--lambda", "1", "--grid", "7", "--out"],
+    "gen_points": ["gen-points", "--sphere-dim", "2", "--n", "5", "--out"],
+    "interp_eval": [
+        "interp", "--points", "{pts}", "--values", "{vals}", "--kernel", N3_DESC,
+        "--eval-points", "{pts}", "--out", os.devnull, "--eval-out",
+    ],
 }
 
 
 class TestFormats:
     @pytest.mark.parametrize("name", sorted(ROW_TABLES))
     def test_csv_and_json_hold_the_same_rows(self, tmp_path, name):
+        pts, vals = tmp_path / "pts.csv", tmp_path / "vals.csv"
+        pts.write_text("x0,x1,x2\n1,0,0\n0,1,0\n0,0,1\n")
+        vals.write_text("1\n2\n3\n")
+        files = {"{pts}": str(pts), "{vals}": str(vals)}
+        argv = [files.get(a, a) for a in ROW_TABLES[name]]
         csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
-        assert run_main([*ROW_TABLES[name], "--out", str(csv_out)]) == 0
-        assert run_main([*ROW_TABLES[name], "--format", "json", "--out", str(json_out)]) == 0
+        assert run_main([*argv, str(csv_out)]) == 0
         header, rows = read_rows(csv_out)
+        assert len(rows) > 0
+        # every field is its value at 17 significant digits
+        assert all(v == format(float(v), ".17g") for row in rows for v in row)
+        if "--format" not in OPTIONS[argv[0]]:
+            return
+        assert run_main([*argv[:-1], "--format", "json", argv[-1], str(json_out)]) == 0
         table = json.loads(json_out.read_text())
         assert table["columns"] == header.split(",")
-        assert len(rows) > 0
         # 17 significant digits give back the JSON float exactly
         assert [[float(v) for v in row] for row in rows] == table["rows"]
         if header.startswith("n,"):
             n = list(range(len(rows)))
             assert [row[0] for row in rows] == [str(k) for k in n]
             assert [row[0] for row in table["rows"]] == n and all(type(row[0]) is int for row in table["rows"])
+
+
+# Every option of every subcommand; each command reads all of its own.
+OPTIONS = {
+    "eval": "--kernel --grid --grid-space --lambda --sphere-dim --out --format",
+    "coeffs": "--kernel --lambda --sphere-dim --trunc --quad-order --out --format",
+    "verify": "--check --tol --out",
+    "conv": "--kernel --kernel2 --cap-s --grid --table --lambda --sphere-dim --trunc --quad-order --out --format",
+    "caps": "--d --s --out",
+    "interp": "--points --values --kernel --lonlat --eval-points --eval-out --lambda --sphere-dim --tol --out",
+    "gen-points": "--n --scheme --seed --lambda --sphere-dim --out --format",
+}
+OPTIONS = {command: set(opts.split()) for command, opts in OPTIONS.items()}
+# The options every subcommand took before each declared only what it
+# reads, each with a value.
+_ONCE_SHARED = {
+    "--lambda": "1", "--sphere-dim": "3", "--trunc": "5", "--quad-order": "8",
+    "--seed": "3", "--tol": "1e-3", "--out": "o", "--format": "csv",
+}
+# Arguments each subcommand parses without them.
+_PARSES = {
+    "eval": ["--kernel", F2_DESC],
+    "coeffs": ["--kernel", F2_DESC],
+    "verify": ["--check", "hop_constant"],
+    "conv": ["--cap-s", "1.0"],
+    "caps": ["--d", "3", "--s", "0.5"],
+    "interp": ["--points", "p.csv", "--values", "v.csv", "--kernel", N3_DESC],
+    "gen-points": ["--n", "2"],
+}
+_REMOVED = [(c, o) for c in sorted(OPTIONS) for o in sorted(_ONCE_SHARED.keys() - OPTIONS[c])]
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_each_subcommand_takes_exactly_its_options(self, command):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        taken = {o for a in sub.choices[command]._actions for o in a.option_strings if o not in ("-h", "--help")}
+        assert taken == OPTIONS[command]
+
+    def test_the_parser_has_48_options(self):
+        assert sum(map(len, OPTIONS.values())) == 48 and len(_REMOVED) == 28
+
+    @pytest.mark.parametrize("command, option", _REMOVED)
+    def test_an_option_the_command_does_not_read_exits_2(self, capsys, command, option):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *_PARSES[command], option, _ONCE_SHARED[option]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def _address_space_cap():
+    # a bound that stopped working would fail here, not take the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+class TestOversizedInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--kernel", F2_DESC, "--lambda", "1", "--trunc", "200000"],
+            ["coeffs", "--kernel", json.dumps({"family": "series", "coeffs": [1.0], "lambda": 1.0}), "--lambda", "1", "--trunc", "99999"],
+            ["coeffs", "--kernel", F2_DESC, "--lambda", "1", "--quad-order", "1000000000"],
+            ["conv", "--cap-s", "1.0", "--lambda", "1", "--table", "coeffs", "--trunc", "200000"],
+            ["conv", "--cap-s", "1.0", "--lambda", "1", "--grid", "3", "--quad-order", "1000000000"],
+        ],
+        ids=["trunc", "series_trunc", "quad_order", "conv_trunc", "conv_quad_order"],
+    )
+    def test_past_the_quadrature_bound_exits_2_at_once(self, argv):
+        # before the shared bound: a traceback from a 74.5-298 GiB allocation, exit 1
+        proc = subprocess.run(
+            [sys.executable, "-m", "sphkern.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            preexec_fn=_address_space_cap,
+            timeout=30,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: quadrature order") and len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 74.5 GiB")])
+    def test_memory_error_exits_2_with_one_line(self, monkeypatch, capsys, exc):
+        # stands in for e.g. eval --grid 10000000000, which tier-1 must not allocate
+        def oversized(args):
+            raise exc
+
+        monkeypatch.setitem(cli._DISPATCH, "eval", oversized)
+        assert run_main(["eval", "--kernel", F2_DESC]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory: ")
 
 
 class TestDeterminism:
@@ -461,14 +574,11 @@ class TestDeterminism:
 
 
 def test_console_entry_point_runs():
-    # the child interpreter imports the same package this test run does
-    src = os.path.dirname(os.path.dirname(sphkern.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "sphkern.cli", "caps", "--d", "5", "--s", "0.6"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d"] == 5
@@ -477,9 +587,7 @@ def test_console_entry_point_runs():
 def test_import_leaves_scipy_spatial_and_sparse_unloaded():
     # the sparse interpolation path imports them on first use, so that
     # `import sphkern` stays as cheap as before it existed
-    src = os.path.dirname(os.path.dirname(sphkern.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     probe = "import sys, sphkern; print(sorted(m for m in ('scipy.spatial', 'scipy.sparse') if m in sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

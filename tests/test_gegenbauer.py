@@ -27,7 +27,6 @@ from sphkern.gegenbauer import (
     eval_gegenbauer_derivative,
     gegenbauer_at_one,
     moment,
-    norm_h,
     quadrature_rule,
     series_eval,
     transform,
@@ -172,6 +171,20 @@ class TestAtOne:
             check_D_on_gegenbauer(GegenbauerParams(MAX_LAMBDA), 1)
 
 
+def norm_h(params, n):
+    """Squared L2 norm h^lam_n = int (C^lam_n)^2 dOmega_lam for lambda > 0
+    (closed form, the oracle of the quadrature check below)."""
+    lam = params.lam
+    return math.exp(
+        math.log(math.pi)
+        + special.gammaln(n + 2.0 * lam)
+        - (2.0 * lam - 1.0) * math.log(2.0)
+        - special.gammaln(n + 1.0)
+        - math.log(n + lam)
+        - 2.0 * special.gammaln(lam)
+    )
+
+
 class TestNormH:
     def test_lambda_one_degree_zero(self):
         # integral of sqrt(1-x^2) over [-1,1]
@@ -189,10 +202,6 @@ class TestNormH:
             for n in (0, 1, 4, 9):
                 vals = np.asarray(eval_gegenbauer(p, n, rule.nodes))
                 assert rule.integrate(vals**2) == pytest.approx(norm_h(p, n), rel=1e-10)
-
-    def test_lambda_zero_unsupported(self):
-        with pytest.raises(ValueError, match="weight_w"):
-            norm_h(P0, 2)
 
 
 class TestWeightW:

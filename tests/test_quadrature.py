@@ -5,10 +5,38 @@ import math
 import numpy as np
 import pytest
 
-from sphkern.errors import AccuracyError
-from sphkern.gegenbauer import GegenbauerParams, total_mass
+from sphkern import quadrature
+from sphkern.errors import AccuracyError, ResourceLimitError
+from sphkern.gegenbauer import GegenbauerParams, quadrature_rule, total_mass
 from sphkern.kernels import MonteeIterate, TruncatedPower
-from sphkern.quadrature import _BATCH_PANELS, circle_rule, cumulative_integral, gauss_legendre, panel_rule, theta_rule
+from sphkern.quadrature import (
+    _BATCH_PANELS,
+    MAX_QUAD_ORDER,
+    circle_rule,
+    cumulative_integral,
+    gauss_legendre,
+    panel_rule,
+    theta_rule,
+)
+
+
+class TestOrderBound:
+    def test_the_matrix_at_the_bound_stays_under_a_gibibyte(self):
+        # both rules build an order x order float64 matrix; --trunc 4000 needs order 4001
+        assert 4001 <= MAX_QUAD_ORDER and 8 * MAX_QUAD_ORDER**2 < 2**30
+
+    @pytest.mark.parametrize(
+        "rule",
+        [gauss_legendre, lambda order: quadrature_rule(GegenbauerParams(1.0), order)],
+        ids=["gauss_legendre", "quadrature_rule"],
+    )
+    def test_both_rules_check_it_before_building(self, monkeypatch, rule):
+        # a lowered bound keeps the test small; the cache would skip the check
+        monkeypatch.setattr(quadrature, "MAX_QUAD_ORDER", 50)
+        gauss_legendre.cache_clear()
+        assert rule(50)
+        with pytest.raises(ResourceLimitError, match="quadrature order 51 exceeds 50"):
+            rule(51)
 
 
 class TestPanelRule:
