@@ -16,6 +16,7 @@ byte-identical output (floats render with 17 significant digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -213,12 +214,16 @@ def cmd_interp(args) -> int:
     pts = PointSet(d=d, points=raw_pts)
     if values.shape != (len(pts),):
         raise ValueError(f"value count {values.size} does not match point count {len(pts)}")
+    # the query file is read and checked before the solve, and evaluated
+    # before anything is written, so a run that fails prints nothing
+    q = _read_matrix(args.eval_points) if args.eval_points else None
+    if q is not None and q.shape[1] != d + 1:
+        raise ValueError(f"query points need {d + 1} columns, got {q.shape[1]}")
     kernel = kernel_from_descriptor(args.descriptor, params=_optional_params(args))
     itp = solve_interpolation(pts, values, kernel, residual_tol=args.tol)
+    vals = evaluate_interpolant(itp, q) if q is not None else None
     _emit(args.out, json.dumps(itp.to_dict(), sort_keys=True) + "\n")
-    if args.eval_points:
-        q = _read_matrix(args.eval_points)
-        vals = evaluate_interpolant(itp, q)
+    if q is not None:
         columns = [f"x{i}" for i in range(q.shape[1])] + ["value"]
         _emit_rows(args.eval_out, columns, np.column_stack([q, vals]).tolist())
     return 0
@@ -243,7 +248,9 @@ def _sphere_dim(text: str) -> float:
     return (int(text) - 1) / 2.0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The sphkern parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sphkern",
         description="Locally supported positive definite zonal kernels on spheres",

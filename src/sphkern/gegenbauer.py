@@ -101,18 +101,35 @@ class GegenbauerParams:
 
 
 def _recurrence(lam: float, n_max: int, x: np.ndarray):
-    """Yield C^lam_n(x), n = 0..n_max, by the three-term recurrence; T_n at lam = 0."""
+    """Yield C^lam_n(x), n = 0..n_max, by the three-term recurrence; T_n at lam = 0.
+
+    Three arrays of x's size are rotated and each step is computed in place
+    with the operations, and the order, of the plain recurrence, so no step
+    allocates and the values are bit for bit those of the plain expression.
+    A yielded array is valid only until the next step: a caller that keeps
+    one past it must copy it.
+    """
     prev = np.ones_like(x)
     yield prev
     if n_max == 0:
         return
     cur = 2.0 * lam * x if lam > 0.0 else x.copy()
     yield cur
+    nxt = np.empty_like(x)
     for n in range(2, n_max + 1):
         if lam > 0.0:
-            prev, cur = cur, (2.0 * (n + lam - 1.0) * x * cur - (n + 2.0 * lam - 2.0) * prev) / n
+            # (2 (n + lam - 1) x cur - (n + 2 lam - 2) prev) / n
+            np.multiply(2.0 * (n + lam - 1.0), x, out=nxt)
+            nxt *= cur
+            prev *= n + 2.0 * lam - 2.0
+            nxt -= prev
+            nxt /= n
         else:
-            prev, cur = cur, 2.0 * x * cur - prev
+            # 2 x cur - prev
+            np.multiply(2.0, x, out=nxt)
+            nxt *= cur
+            nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
         yield cur
 
 
@@ -249,12 +266,10 @@ def quadrature_rule(params: GegenbauerParams, order: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, params, order)
 
 
-def _w_table(params: GegenbauerParams, n_max: int, x: np.ndarray) -> np.ndarray:
-    """Rows n = 0..n_max of W^lam_n(x) = C^lam_n(x) / C^lam_n(1); W^0_n = T_n."""
-    out = np.empty((n_max + 1, x.size))
-    for n, c in enumerate(_recurrence(params.lam, n_max, x)):
-        out[n] = c if params.lam == 0.0 else c / gegenbauer_at_one(params, n)
-    return out
+#: Rows of W^lam_n that transform multiplies at once.  A multiple of the
+#: BLAS gemv row grouping, so every row keeps its place in a group and its
+#: coefficient is the one a single (N + 1)-row product gives.
+_BLOCK_ROWS = 64
 
 
 def transform(f, params: GegenbauerParams, n_max: int, order: int = 256) -> "SeriesCoeffs":
@@ -264,6 +279,12 @@ def transform(f, params: GegenbauerParams, n_max: int, order: int = 256) -> "Ser
     declare breakpoints are integrated by Gauss-Legendre panels in theta
     split at the breakpoints.  Either rule takes max(order, n_max + 1) nodes
     (per panel), so no coefficient up to n_max aliases.
+
+    The rows W^lam_n go from the recurrence into a block of _BLOCK_ROWS
+    rows, each multiplied by the weighted samples when full, so the working
+    memory is O(_BLOCK_ROWS * nodes) at any n_max.  A lone last row joins
+    the block before it: numpy takes a one-row product as a dot, which
+    rounds differently from the same row in a gemv.
     """
     if n_max < 0:
         raise ValueError("truncation must be nonnegative")
@@ -277,8 +298,16 @@ def transform(f, params: GegenbauerParams, n_max: int, order: int = 256) -> "Ser
     fx = np.asarray(f(x), dtype=float)
     if not np.all(np.isfinite(fx)):
         raise EvaluationError("kernel produced non-finite samples on the quadrature grid")
-    table = _w_table(params, n_max, x)
-    coeffs = table @ (wq * fx)
+    weighted = wq * fx
+    coeffs = np.empty(n_max + 1)
+    block = np.empty((min(_BLOCK_ROWS + 1, n_max + 1), x.size))
+    start = 0
+    for n, c in enumerate(_recurrence(params.lam, n_max, x)):
+        # W^0_n = T_n, and a division by 1.0 is exact
+        np.divide(c, 1.0 if params.lam == 0.0 else gegenbauer_at_one(params, n), out=block[n - start])
+        if n == n_max or (n - start == _BLOCK_ROWS - 1 and n + 1 < n_max):
+            coeffs[start : n + 1] = block[: n + 1 - start] @ weighted
+            start = n + 1
     return SeriesCoeffs(params=params, coeffs=coeffs, truncation=n_max)
 
 
@@ -317,11 +346,15 @@ def series_eval(s: SeriesCoeffs, x) -> np.ndarray | float:
     """Partial sum sum_{n<=N} w_lam(n) fhat(n) W^lam_n(x) for x of any shape
     (Gram matrices included).
 
-    Each term is added as the recurrence yields C^lam_n, so the working
-    memory is a few arrays of x's size, whatever N is.
+    Each term is added through one scratch array as the recurrence yields
+    C^lam_n, so the working memory is five arrays of x's size (the sum, the
+    scratch and the recurrence's three), whatever N is.
     """
     terms = s.weights() * s.coeffs
     out = np.zeros(x.size)
+    term = np.empty(x.size)
     for n, c in enumerate(_recurrence(s.params.lam, s.truncation, x.ravel())):
-        out += terms[n] * (c if s.params.lam == 0.0 else c / gegenbauer_at_one(s.params, n))
+        np.divide(c, 1.0 if s.params.lam == 0.0 else gegenbauer_at_one(s.params, n), out=term)
+        term *= terms[n]
+        out += term
     return out.reshape(x.shape)

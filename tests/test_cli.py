@@ -340,6 +340,25 @@ class TestInterp:
         evaluated = np.array([float(r[-1]) for r in rows])
         assert np.max(np.abs(evaluated - vals)) <= 1e-9
 
+    @pytest.mark.parametrize("query", ["missing", "two_columns"])
+    def test_bad_eval_points_exit_2_before_any_output(self, tmp_path, capsys, query):
+        pts_file, val_file, _, _ = self._write_problem(tmp_path)
+        q_file = tmp_path / "q.csv"
+        if query == "two_columns":
+            q_file.write_text("x0,x1\n0,1\n1,0\n")
+        eval_out = tmp_path / "eval.csv"
+        rc = run_main(
+            [
+                "interp", "--points", str(pts_file), "--values", str(val_file), "--kernel", N3_DESC,
+                "--eval-points", str(q_file), "--eval-out", str(eval_out),
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not eval_out.exists()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_duplicate_point_exit_2(self, tmp_path):
         pts_file = tmp_path / "p.csv"
         pts_file.write_text("x0,x1,x2\n0,0,1\n0,0,1\n")
@@ -518,6 +537,29 @@ class TestSurface:
             main([command, *_PARSES[command], option, _ONCE_SHARED[option]])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    # one parser serves every main() call of a process
+    def test_the_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_repeated_verify_reports_only_its_own_check(self, capsys):
+        for name in ("hop_constant", "cap_transform"):
+            assert run_main(["verify", "--check", name]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert [c["name"] for c in report["checks"]] == [name]
+
+    def test_after_a_usage_error_coeffs_prints_what_a_fresh_process_prints(self, capsys):
+        argv = ["coeffs", "--kernel", F2_DESC, "--lambda", "1", "--trunc", "12"]
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", "--kernel", F2_DESC, "--lambda", "2", "--trunc", "many"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_main(argv) == 0
+        fresh = subprocess.run([sys.executable, "-m", "sphkern.cli", *argv], capture_output=True, env=_child_env())
+        assert fresh.returncode == 0
+        assert capsys.readouterr().out.encode() == fresh.stdout
 
 
 def _address_space_cap():

@@ -2,8 +2,12 @@
 
 import importlib
 import inspect
+import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -20,7 +24,6 @@ from sphkern.gegenbauer import (
     MAX_LAMBDA,
     GegenbauerParams,
     SeriesCoeffs,
-    _w_table,
     clamp_x,
     on_interval,
     eval_gegenbauer,
@@ -41,12 +44,37 @@ from sphkern.kernels import (
     eval_truncated_power,
 )
 from sphkern.operators import check_D_on_gegenbauer, descente_numeric, montee_numeric
+from sphkern.quadrature import theta_rule
 from sphkern.zonal import ZonalKernel, constant_kernel, gegenbauer_kernel
 
 P0 = GegenbauerParams(0.0)
 P_HALF = GegenbauerParams(0.5)
 P1 = GegenbauerParams(1.0)
 P2 = GegenbauerParams(2.0)
+
+
+def _plain_recurrence(lam, n_max, x):
+    """C^lam_n(x), n = 0..n_max, as the plain three-term recurrence: a fresh array per step."""
+    prev = np.ones_like(x)
+    yield prev
+    if n_max == 0:
+        return
+    cur = 2.0 * lam * x if lam > 0.0 else x.copy()
+    yield cur
+    for n in range(2, n_max + 1):
+        if lam > 0.0:
+            prev, cur = cur, (2.0 * (n + lam - 1.0) * x * cur - (n + 2.0 * lam - 2.0) * prev) / n
+        else:
+            prev, cur = cur, 2.0 * x * cur - prev
+        yield cur
+
+
+def _w_table(p, n_max, x):
+    """Rows n = 0..n_max of W^lam_n(x) = C^lam_n(x) / C^lam_n(1); W^0_n = T_n."""
+    out = np.empty((n_max + 1, x.size))
+    for n, c in enumerate(_plain_recurrence(p.lam, n_max, x)):
+        out[n] = c if p.lam == 0.0 else c / gegenbauer_at_one(p, n)
+    return out
 
 
 def _w_kernel(p, n):
@@ -318,10 +346,11 @@ class TestSeriesEval:
         ]
         assert np.all(np.diff(partials) > -1e-12)
 
-    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("trunc", [0, 1, 40, 200])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("trunc", [0, 1, 40, 200, 2, 63, 64, 65, 300])
     def test_matches_the_table_route(self, lam, trunc):
-        # the (N+1) x size table, summed by one GEMV, is the oracle
+        # the (N+1) x size table is the oracle: summed row by row it gives
+        # series_eval's bits, and summed by one GEMV its value within rounding
         p = GegenbauerParams(lam)
         s = SeriesCoeffs(p, np.random.default_rng(trunc).standard_normal(trunc + 1), trunc)
         terms = s.weights() * s.coeffs
@@ -335,6 +364,10 @@ class TestSeriesEval:
             got = series_eval(s, x)
             assert np.shape(got) == np.shape(x)
             assert np.all(np.abs(np.ravel(got) - terms @ table) <= bound)
+            rowwise = np.zeros(flat.size)
+            for n, row in enumerate(table):
+                rowwise += terms[n] * row
+            assert np.array_equal(np.ravel(got), rowwise)
 
     def test_evaluation_builds_no_basis_table(self):
         # the (N+1) x size table alone was 313 MiB here
@@ -347,6 +380,83 @@ class TestSeriesEval:
         finally:
             tracemalloc.stop()
         assert np.all(np.isfinite(out))
+        assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the blocked transform gives the table route's bits
+
+IDENTITY_LAMS = (0.0, 0.5, 1.0, 2.5)
+IDENTITY_TRUNCS = (0, 1, 2, 63, 64, 65, 300)  # transform's block edges
+IDENTITY_KERNELS = {
+    "theta_panels": TruncatedPower(2, 1.0).as_kernel(),  # declares a breakpoint
+    "gauss_gegenbauer": ZonalKernel(fn=np.exp),
+}
+
+
+def _table_transform(f, p, n_max, order=256):
+    """transform's coefficients as the (N + 1) x nodes table times wq * f(x)."""
+    order = max(order, n_max + 1)
+    if getattr(f, "breakpoints", ()):
+        x, wq = theta_rule(f.breakpoints, p.lam, order)
+    else:
+        rule = quadrature_rule(p, order)
+        x, wq = rule.nodes, rule.weights
+    return _w_table(p, n_max, x) @ (wq * f(x))
+
+
+def transform_mismatches():
+    """(kernel, lambda, N) of every case whose transform differs from the table route in any bit."""
+    return [
+        (name, lam, trunc)
+        for name, f in IDENTITY_KERNELS.items()
+        for lam in IDENTITY_LAMS
+        for trunc in IDENTITY_TRUNCS
+        if not np.array_equal(
+            transform(f, GegenbauerParams(lam), trunc).coeffs, _table_transform(f, GegenbauerParams(lam), trunc)
+        )
+    ]
+
+
+class TestBitIdentity:
+    def test_transform_equals_the_table_route(self):
+        # BLAS on one thread, as the benchmark runs: a threaded gemv splits
+        # the rows by their total count, so the table route's own bits move
+        # with the thread count
+        src = os.path.dirname(os.path.dirname(sphkern.__file__))
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1",
+        }
+        probe = "import json, test_gegenbauer as t; print(json.dumps(t.transform_mismatches()))"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=os.path.dirname(__file__)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    def test_eval_gegenbauer_results_share_no_buffer(self):
+        x = np.linspace(-1.0, 1.0, 101)
+        first, second = eval_gegenbauer(P1, 5, x), eval_gegenbauer(P1, 6, x)
+        kept = first.copy(), second.copy()
+        third = eval_gegenbauer(P1, 7, x)
+        assert np.array_equal(first, kept[0]) and np.array_equal(second, kept[1])
+        assert not any(np.shares_memory(a, b) for a, b in ((first, second), (first, third), (second, third)))
+
+    def test_transform_builds_no_basis_table(self):
+        # the (N + 1) x nodes table alone was 244.8 MiB here
+        f2 = TruncatedPower(2, 1.0).as_kernel()
+        transform(f2, P1, 0, order=4001)  # caches the order-4001 Gauss-Legendre rule
+        tracemalloc.start()
+        try:
+            s = transform(f2, P1, 4000, order=4001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(s.coeffs))
         assert peak < 16 * 2**20
 
 
