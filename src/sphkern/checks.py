@@ -177,6 +177,15 @@ def check_coeff_map(tol: float = 1e-4) -> CheckResult:
     return _result("coeff_map_derivative", dev, tol)
 
 
+def _printed_form(tag: str, t: float) -> ZonalKernel:
+    """A printed montee closed form as a kernel, 0 below cos t like the family."""
+    return ZonalKernel(
+        fn=lambda x: np.asarray(eval_montee_closed_form(tag, t, x)),
+        breakpoints=(math.cos(t), 1.0),
+        support_edge=math.cos(t),
+    )
+
+
 def check_closed_forms(tol: float = 1e-8) -> CheckResult:
     """The five printed montee closed forms vs numeric montee and vs the exact
     montee algebra (MonteeIterate) on 2001-point grids."""
@@ -187,14 +196,8 @@ def check_closed_forms(tol: float = 1e-8) -> CheckResult:
             "If2": TruncatedPower(2, t).as_kernel(),
             "If3": TruncatedPower(3, t).as_kernel(),
             "If4": TruncatedPower(4, t).as_kernel(),
-            "I2f3": ZonalKernel(
-                fn=lambda x, tt=t: np.asarray(eval_montee_closed_form("If3", tt, x)),
-                breakpoints=(math.cos(t), 1.0),
-            ),
-            "I2f4": ZonalKernel(
-                fn=lambda x, tt=t: np.asarray(eval_montee_closed_form("If4", tt, x)),
-                breakpoints=(math.cos(t), 1.0),
-            ),
+            "I2f3": _printed_form("If3", t),
+            "I2f4": _printed_form("If4", t),
         }
         for tag in CLOSED_FORM_TAGS:
             m, k = _CLOSED_FORM_KEYS[tag]
@@ -237,11 +240,7 @@ def check_roundtrip_DI(tol: float = 1e-6) -> CheckResult:
 
 def check_roundtrip_ID(tol: float = 1e-6) -> CheckResult:
     """(I D f) = f - f(-1) for the C^1 kernel f = I f_3 (t = 2.5)."""
-    t = 2.5
-    kernel = ZonalKernel(
-        fn=lambda x: np.asarray(eval_montee_closed_form("If3", t, x)),
-        breakpoints=(math.cos(t), 1.0),
-    )
+    kernel = _printed_form("If3", 2.5)
     derivative = descente_numeric(kernel).as_kernel()
     image = montee_numeric(derivative, tol=1e-9)
     grid = np.linspace(-0.95, 0.95, 21)

@@ -112,6 +112,7 @@ def _circle_conv(fac_a, kinks_a, fac_b, kinks_b, theta: np.ndarray, order: int) 
     theta.  The 1-D array theta goes in blocks of _THETA_BLOCK rows, each
     one row-wise circle rule with its theta-dependent kinks as columns and
     one call of each factor; a row does not depend on the rest of its block.
+    fac_a is called only where fac_b's fresh array is nonzero, as a * 0 = 0.
     """
     # kink columns theta * 0 + (+-u_b) and theta * 1 + (-+u_a), both exact
     slope = np.array([0.0] * (2 * len(kinks_b)) + [1.0] * (2 * len(kinks_a)))
@@ -120,7 +121,12 @@ def _circle_conv(fac_a, kinks_a, fac_b, kinks_b, theta: np.ndarray, order: int) 
     for lo in range(0, theta.size, _THETA_BLOCK):
         block = theta[lo : lo + _THETA_BLOCK, None]
         t, w = circle_rule(block * slope + offset, order)
-        vals = fac_a(block - t) * fac_b(t)
+        vals = fac_b(t)
+        live = vals != 0.0
+        if live.all():
+            vals *= fac_a(block - t)
+        else:
+            vals[live] *= fac_a((block - t)[live])
         out[lo : lo + _THETA_BLOCK] = 0.5 * np.matmul(w[:, None, :], vals[:, :, None])[:, 0, 0]
     return out
 
@@ -161,11 +167,14 @@ def conv_kink_abscissae(F, G) -> tuple:
 
 
 def conv0_kernel(F, G, order: int = 64) -> ZonalKernel:
-    """F *_0 G wrapped as a kernel (used for nested convolutions): conv0 at theta = arccos x."""
+    """F *_0 G as a kernel (for nested convolutions): conv0 at theta = arccos x, with
+    support edge cos(a + b) from factor edges cos a, cos b (-1 once a + b >= pi)."""
+    reach = math.acos(getattr(F, "support_edge", -1.0)) + math.acos(getattr(G, "support_edge", -1.0))
     return ZonalKernel(
         fn=lambda xs: conv0(F, G, np.arccos(xs), order),
         name=f"({F.name} *0 {G.name})",
         breakpoints=conv_kink_abscissae(F, G),
+        support_edge=math.cos(reach) if reach < math.pi else -1.0,
     )
 
 

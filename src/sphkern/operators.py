@@ -132,6 +132,10 @@ class OperatorImage:
     evaluator: Callable
     flag_fn: Callable | None = None
 
+    @property
+    def name(self) -> str:
+        return f"{self.op}({self.source.name})"
+
     @on_interval
     def __call__(self, x):
         return np.asarray(self.evaluator(x), dtype=float)
@@ -150,7 +154,7 @@ class OperatorImage:
     def as_kernel(self) -> ZonalKernel:
         return ZonalKernel(
             fn=self.evaluator,
-            name=f"{self.op}({self.source.name})",
+            name=self.name,
             breakpoints=self.breakpoints,
             support_edge=self.source.support_edge,
         )

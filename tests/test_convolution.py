@@ -26,6 +26,9 @@ from sphkern.convolution import (
     _THETA_BLOCK,
 )
 from sphkern.gegenbauer import GegenbauerParams, SeriesCoeffs, series_eval, transform, weight_w
+from sphkern.kernels import CapConvKernel, MonteeIterate, TruncatedPower, kernel_from_descriptor
+from sphkern.operators import montee_numeric
+from sphkern.quadrature import circle_rule
 from sphkern.zonal import ZonalKernel, constant_kernel, gegenbauer_kernel
 
 P0 = GegenbauerParams(0.0)
@@ -143,6 +146,169 @@ class TestStackedConv0:
         n = STACK_THETAS.size
         conv0_kernel(F, G)(np.cos(STACK_THETAS).reshape(2, -1))
         assert f_calls.calls == g_calls.calls == -(-n // _THETA_BLOCK)
+
+
+def every_node_circle_conv(fac_a, kinks_a, fac_b, kinks_b, theta, order):
+    """_circle_conv as it was before the support skip: both factors on every
+    node, then one product.  The reference the skip must match bit for bit."""
+    slope = np.array([0.0] * (2 * len(kinks_b)) + [1.0] * (2 * len(kinks_a)))
+    offset = np.array([v for u in kinks_b for v in (u, -u)] + [v for u in kinks_a for v in (-u, u)])
+    out = np.empty(theta.size)
+    for lo in range(0, theta.size, _THETA_BLOCK):
+        block = theta[lo : lo + _THETA_BLOCK, None]
+        t, w = circle_rule(block * slope + offset, order)
+        vals = fac_a(block - t) * fac_b(t)
+        out[lo : lo + _THETA_BLOCK] = 0.5 * np.matmul(w[:, None, :], vals[:, :, None])[:, 0, 0]
+    return out
+
+
+def on_every_node(monkeypatch, compute):
+    with monkeypatch.context() as patch:
+        patch.setattr(sphkern.convolution, "_circle_conv", every_node_circle_conv)
+        return compute()
+
+
+SKIP_THETAS = np.concatenate([np.linspace(0.0, math.pi, 201), STACK_THETAS])
+CAPS = {c: cap_indicator(c) for c in (0.5, 0.0, -0.3)}
+SKIP_PAIRS = {
+    **{f"cap({a:g})*cap({b:g})": (CAPS[a], CAPS[b]) for a in CAPS for b in CAPS},
+    "capI1*capI2": (_cap_power(0.5, 1), _cap_power(-0.3, 2)),
+    "capI3*cap": (_cap_power(0.0, 3), CAPS[0.5]),
+    "f2*f3": (TruncatedPower(2, 1.0).as_kernel(), TruncatedPower(3, 2.5).as_kernel()),
+    "f4*cap": (TruncatedPower(4, 0.5).as_kernel(), CAPS[-0.3]),
+    "I2f4*If3": (MonteeIterate(TruncatedPower(4, 1.0), 2).as_kernel(), MonteeIterate(TruncatedPower(3, 2.0), 1).as_kernel()),
+    "N3*N5": (CapConvKernel(3, 0.5).as_kernel(), CapConvKernel(5, math.pi / 4).as_kernel()),
+    "N3*f2": (CapConvKernel(3, 1.2).as_kernel(), TruncatedPower(2, 0.3).as_kernel()),
+}
+
+
+def spy_circle_conv(monkeypatch):
+    """Record, per call of _circle_conv, theta and every call of both factors."""
+    calls = []
+    real = sphkern.convolution._circle_conv
+
+    def spy(fac_a, kinks_a, fac_b, kinks_b, theta, order):
+        seen = {"theta": theta, "a": [], "b": []}
+        calls.append(seen)
+
+        def rec_a(u):
+            seen["a"].append(u.copy())
+            return fac_a(u)
+
+        def rec_b(t):
+            out = fac_b(t)
+            seen["b"].append((t.copy(), out.copy()))
+            return out
+
+        return real(rec_a, kinks_a, rec_b, kinks_b, theta, order)
+
+    monkeypatch.setattr(sphkern.convolution, "_circle_conv", spy)
+    return calls
+
+
+class TestSupportSkip:
+    """fac_a is evaluated only where fac_b is nonzero, and nothing moves."""
+
+    @pytest.mark.parametrize("pair", SKIP_PAIRS.values(), ids=SKIP_PAIRS.keys())
+    def test_conv0_is_bitwise_the_every_node_product(self, pair, monkeypatch):
+        F, G = pair
+        want = on_every_node(monkeypatch, lambda: conv0(F, G, SKIP_THETAS))
+        assert np.array_equal(conv0(F, G, SKIP_THETAS), want)
+
+    @pytest.mark.parametrize("lam", (0.0, 1.0, 2.0, 3.0))
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            (CAPS[0.5], CAPS[0.5]),
+            (CAPS[0.0], CAPS[-0.3]),
+            (TruncatedPower(2, 1.0).as_kernel(), TruncatedPower(2, 1.0).as_kernel()),
+            (TruncatedPower(2, 1.0).as_kernel(), CAPS[0.5]),
+        ],
+        ids=["cap*cap", "cap*cap2", "f2*f2", "f2*cap"],
+    )
+    def test_hop_with_exact_ladders_is_bitwise_the_every_node_product(self, pair, lam, monkeypatch):
+        f, g = pair
+        p = GegenbauerParams(lam)
+        xs = np.concatenate([[1.0, -1.0], np.cos((np.arange(101) + 0.5) * math.pi / 101)])
+        want = on_every_node(monkeypatch, lambda: dimension_hop_conv(f, g, p, xs))
+        assert np.array_equal(dimension_hop_conv(f, g, p, xs), want)
+
+    @pytest.mark.parametrize("pair", [SKIP_PAIRS["capI1*capI2"], SKIP_PAIRS["N3*N5"]], ids=["caps", "N_d"])
+    def test_fac_a_gets_exactly_the_nodes_where_fac_b_is_nonzero(self, pair, monkeypatch):
+        calls = spy_circle_conv(monkeypatch)
+        conv0(*pair, SKIP_THETAS)
+        (seen,) = calls
+        skipped = 0
+        for i, ((t, b_vals), u) in enumerate(zip(seen["b"], seen["a"], strict=True)):
+            block = seen["theta"][i * _THETA_BLOCK : (i + 1) * _THETA_BLOCK, None]
+            live = b_vals != 0.0
+            assert np.array_equal(u, (block - t)[live] if not live.all() else block - t)
+            skipped += np.count_nonzero(~live)
+        assert skipped > 0
+
+    def test_fac_a_gets_every_node_when_fac_b_has_no_support(self, monkeypatch):
+        calls = spy_circle_conv(monkeypatch)
+        conv0(CAPS[0.5], ZonalKernel(fn=np.exp), SKIP_THETAS)
+        (seen,) = calls
+        for i, ((t, _), u) in enumerate(zip(seen["b"], seen["a"], strict=True)):
+            block = seen["theta"][i * _THETA_BLOCK : (i + 1) * _THETA_BLOCK, None]
+            assert u.shape == t.shape
+            assert np.array_equal(u, block - t)
+
+
+EDGE_FACTORS = {
+    "cap(0.4)": cap_indicator(math.cos(0.4)),
+    "cap(0.9)": cap_indicator(math.cos(0.9)),
+    "cap(1.6)": cap_indicator(math.cos(1.6)),
+    "capI2(0.7)": _cap_power(math.cos(0.7), 2),
+    "f2(1.0)": TruncatedPower(2, 1.0).as_kernel(),
+    "I2f4(1.3)": MonteeIterate(TruncatedPower(4, 1.3), 2).as_kernel(),
+    "N3(0.5)": CapConvKernel(3, 0.5).as_kernel(),
+}
+EDGE_PAIRS = {f"{a}*{b}": (EDGE_FACTORS[a], EDGE_FACTORS[b]) for a in EDGE_FACTORS for b in EDGE_FACTORS}
+
+
+class TestConv0KernelEdge:
+    @pytest.mark.parametrize(
+        "F, G, a, b",
+        [
+            (EDGE_FACTORS["cap(0.4)"], EDGE_FACTORS["cap(0.9)"], 0.4, 0.9),
+            (EDGE_FACTORS["cap(0.4)"], EDGE_FACTORS["capI2(0.7)"], 0.4, 0.7),
+            (EDGE_FACTORS["f2(1.0)"], EDGE_FACTORS["cap(0.9)"], 1.0, 0.9),
+        ],
+        ids=["caps", "cap power", "f_m"],
+    )
+    def test_edge_is_the_cosine_of_the_angle_sum(self, F, G, a, b):
+        edge = conv0_kernel(F, G).support_edge
+        assert edge == math.cos(math.acos(F.support_edge) + math.acos(G.support_edge))
+        assert edge == pytest.approx(math.cos(a + b), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "F, G",
+        [
+            (cap_indicator(math.cos(2.0)), cap_indicator(math.cos(1.5))),
+            (cap_indicator(0.0), cap_indicator(0.0)),  # a + b = pi
+            (kernel_from_descriptor({"family": "series", "coeffs": [1.0, 0.5], "lambda": 1.0}), EDGE_FACTORS["cap(0.4)"]),
+            (EDGE_FACTORS["cap(0.4)"], montee_numeric(EDGE_FACTORS["f2(1.0)"])),
+        ],
+        ids=["sum past pi", "sum at pi", "series", "OperatorImage"],
+    )
+    def test_no_edge_once_the_angles_reach_pi(self, F, G):
+        assert conv0_kernel(F, G).support_edge == -1.0
+
+    @pytest.mark.parametrize("pair", EDGE_PAIRS.values(), ids=EDGE_PAIRS.keys())
+    def test_values_are_bitwise_the_unwrapped_conv0(self, pair):
+        F, G = pair
+        kernel = conv0_kernel(F, G)
+        edge = kernel.support_edge
+        around = [edge]
+        for step in (-2.0, 2.0):
+            x = edge
+            for _ in range(40):
+                x = np.nextafter(x, step)
+                around.append(x)
+        xs = np.clip(np.concatenate([np.linspace(-1.0, 1.0, 201), around]), -1.0, 1.0)
+        assert np.array_equal(kernel(xs), conv0(F, G, np.arccos(xs)))
 
 
 class TestConvLambdaCoeffs:

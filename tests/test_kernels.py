@@ -91,6 +91,19 @@ class TestMonteeClosedForms:
         grid = np.linspace(-1.0, 1.0, 501)
         assert np.max(np.abs(image(grid) - eval_montee_closed_form(tag, t, grid))) < 1e-8
 
+    @pytest.mark.parametrize("t", (0.1, 0.5, 1.0, math.pi / 2, 2.5, 3.0))
+    @pytest.mark.parametrize("tag", CLOSED_FORM_TAGS)
+    def test_exactly_zero_below_the_edge(self, tag, t):
+        # what lets a printed form carry support_edge = cos t without moving
+        # a value: 5000 grid points and the 200 doubles just below the edge
+        edge = math.cos(t)
+        below = [edge]
+        for _ in range(200):
+            below.append(np.nextafter(below[-1], -2.0))
+        x = np.concatenate([np.linspace(-1.0, edge, 5000, endpoint=False), below[1:]])
+        assert np.all(x < edge)
+        assert np.all(eval_montee_closed_form(tag, t, x) == 0.0)
+
     def test_support_vanishing_on_grid(self):
         grid = np.linspace(-1.0, 1.0, 2001)
         for t in (0.5, 2.5):
