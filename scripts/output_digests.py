@@ -3,10 +3,12 @@
 
 The set is the 11 tables of the benchmark's `tables` workload, the cap
 `conv` tables at lambda = 3 and 4 (s = pi/6, grid 300), the `conv` tables of
-f_3 at lambda = 0 and of I^2 f_4 at lambda = 1, and one `conv --table
-coeffs`.  Everything runs in one child interpreter with BLAS and OpenMP on
-one thread, so a claim that a change keeps every output byte for byte is a
-diff of this script's output for the two source trees:
+f_3 at lambda = 0 and of I^2 f_4 at lambda = 1, one `conv --table coeffs`,
+and the `conv` table of N_3 (s = 0.5) at lambda = 2, whose hop runs on
+numeric montee ladders: 17 tables.  Everything runs in one child
+interpreter with BLAS and OpenMP on one thread, so a claim that a change
+keeps every output byte for byte is a diff of this script's output for the
+two source trees:
 
     python scripts/output_digests.py [src_dir] > digests.txt
 
@@ -55,6 +57,7 @@ def invocations() -> list:
         ("conv_f3_l0", ["conv", "--kernel", _desc(family="truncated_power", m=3, t=1.0), "--lambda", "0"]),
         ("conv_i2f4_l1", ["conv", "--kernel", _desc(family="montee", m=4, k=2, t=1.0), "--lambda", "1"]),
         ("conv_cap_coeffs", ["conv", "--table", "coeffs", "--lambda", "1", *cap]),
+        ("conv_n3_l2", ["conv", "--kernel", _desc(family="cap_conv", d=3, s=0.5), "--lambda", "2", "--grid", "101"]),
     ]
 
 

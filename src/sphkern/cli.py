@@ -248,6 +248,15 @@ def _sphere_dim(text: str) -> float:
     return (int(text) - 1) / 2.0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, so that a bad value exits 2 at parse time."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The sphkern parser, built once per process; parse_args leaves it unchanged."""
@@ -269,11 +278,11 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--sphere-dim", dest="lam", type=_sphere_dim, metavar="D", help="sphere dimension d; lambda=(d-1)/2")
     series = argparse.ArgumentParser(add_help=False)
     series.add_argument("--trunc", type=int, default=40, help="series truncation N")
-    series.add_argument("--quad-order", type=int, default=128, help="quadrature order / nodes per panel")
+    series.add_argument("--quad-order", type=_int_at_least(1), default=128, help="quadrature order / nodes per panel")
 
     p_eval = sub.add_parser("eval", parents=[lam, rows], help="tabulate a kernel over a grid")
     p_eval.add_argument("--kernel", required=True, help="kernel descriptor JSON (inline or a file path)")
-    p_eval.add_argument("--grid", type=int, default=101)
+    p_eval.add_argument("--grid", type=_int_at_least(0), default=101)
     p_eval.add_argument("--grid-space", choices=("x", "theta"), default="x")
 
     p_coeffs = sub.add_parser("coeffs", parents=[lam, series, rows], help="Fourier-Gegenbauer coefficient table")
@@ -287,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--kernel", default=None)
     p_conv.add_argument("--kernel2", default=None)
     p_conv.add_argument("--cap-s", type=float, default=None, help="self-convolve the cap indicator of angle s")
-    p_conv.add_argument("--grid", type=int, default=101)
+    p_conv.add_argument("--grid", type=_int_at_least(0), default=101)
     p_conv.add_argument("--table", choices=("values", "coeffs"), default="values", help="x,value grid or n,coeff products")
 
     p_caps = sub.add_parser("caps", parents=[out], help="cap kernel coefficient sets")

@@ -5,11 +5,11 @@ smoothness while stepping the sphere dimension down by two; descente
 differentiates ((D f)(x) = f'(x)) and steps it up by two.  Both are numeric
 only, with no analytic shortcut, so they serve as independent oracles
 against closed forms, together with exact identities on the Gegenbauer
-family and the coefficient-level derivative map.  Both take arrays of x in
-batches: the montee refines batches of panels with one kernel call each
-(quadrature.cumulative_integral), and the descente runs one Ridders tableau
-for all points, one kernel call per column, with flagged one-sided stencils
-at and near the guards (breakpoints and x = +-1).
+family and the coefficient-level derivative map.  A montee image is built
+once, at the call, as exactly integrated Chebyshev series on theta panels,
+so evaluating it never calls the kernel.  The descente runs one Ridders
+tableau for all points of an array, one kernel call per column, with
+flagged one-sided stencils at and near the guards (breakpoints, x = +-1).
 
 All operations are pure; OperatorImage captures immutable sources and is
 safe for concurrent evaluation.
@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint, chebpts2, chebval, chebvander
 
+from .errors import AccuracyError
 from .gegenbauer import (
     GegenbauerParams,
     SeriesCoeffs,
@@ -33,7 +35,7 @@ from .gegenbauer import (
     transform,
     weight_w,
 )
-from .quadrature import cumulative_integral
+from .quadrature import kink_angles
 from .zonal import ZonalKernel, gegenbauer_kernel
 
 __all__ = [
@@ -160,26 +162,73 @@ class OperatorImage:
         )
 
 
+# ---------------------------------------------------------------------------
+# montee on Chebyshev theta panels
+
+#: Chebyshev-Lobatto points per panel (a degree 32 series)
+_CHEB_POINTS = 33
+#: panels a montee image may use before AccuracyError
+_MAX_PANELS = 4096
+#: a tail that stopped shrinking is roundoff below this fraction of the
+#: integrand's largest sample (about 4500 eps)
+_PLATEAU = 1e-12
+_LOBATTO = chebpts2(_CHEB_POINTS)
+# right factors: samples at _LOBATTO -> Chebyshev coefficients -> those of int_s^1
+_TO_CHEB = np.linalg.inv(chebvander(_LOBATTO, _CHEB_POINTS - 1)).T
+_INTEGRATE = chebint(np.eye(_CHEB_POINTS), lbnd=1, scl=-1).T
+
+
 def montee_numeric(f: ZonalKernel, tol: float = 1e-10) -> OperatorImage:
-    """Cumulative integral (I f)(x) = int_{-1}^{x} f by adaptive quadrature.
+    """Cumulative integral (I f)(x) = int_{-1}^{x} f, built once on theta panels.
 
-    The integration runs in x-space directly, with panels split at the
-    kernel's registered breakpoints; Gauss refinement of batched panels, one
-    call of f per batch, keeps the absolute error below tol (AccuracyError,
-    carrying the achieved bound, after 40 bisections).  The image at x = -1
-    is exactly 0.
+    (I f)(cos theta) = int_theta^pi f(cos phi) sin phi dphi.  [0, pi] is
+    split at the kink angles of f, and each panel interpolates the integrand
+    at 33 Chebyshev-Lobatto points.  A panel is bisected while the last two
+    coefficients of its series, times its half-width, exceed tol / pi, unless
+    that tail stopped shrinking (above a quarter of its parent's) below
+    _PLATEAU of the largest sample: roundoff.  Each round samples all open
+    panels in one call of f; past _MAX_PANELS panels AccuracyError carries
+    the achieved bound.  The series are integrated exactly and summed from
+    pi down, so a value is one Clenshaw sum that never calls f and depends
+    on its own x only; at x = -1 it is exactly 0.
     """
-    bps = f.interior_breakpoints()
+    edges = sorted({0.0, math.pi, *kink_angles(f)})
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    parent_tail = np.full(lo.size, math.inf)
+    kept_lo, kept_coeffs, scale = [], [], 0.0
+    while lo.size:
+        half = 0.5 * (hi - lo)
+        phi = (0.5 * (hi + lo))[:, None] + half[:, None] * _LOBATTO
+        vals = np.asarray(f(np.cos(phi)), dtype=float) * np.sin(phi)
+        coeffs = vals @ _TO_CHEB
+        tail = np.max(np.abs(coeffs[:, -2:]), axis=1)
+        scale = max(scale, float(np.max(np.abs(vals))))
+        ok = (half * tail <= tol / math.pi) | ((tail > 0.25 * parent_tail) & (tail <= _PLATEAU * scale))
+        kept_lo.append(lo[ok])
+        kept_coeffs.append(half[ok, None] * (coeffs[ok] @ _INTEGRATE))
+        lo, hi, half, parent_tail = lo[~ok], hi[~ok], half[~ok], tail[~ok]
+        if sum(map(len, kept_lo)) + 2 * lo.size > _MAX_PANELS:
+            achieved = math.pi * float(np.max(half * parent_tail))
+            msg = f"montee of {f.name or 'a kernel'}: over {_MAX_PANELS} panels, achieved {achieved:.3e} > {tol:.3e}"
+            raise AccuracyError(msg, achieved=achieved)
+        lo, hi, parent_tail = np.concatenate([lo, lo + half]), np.concatenate([lo + half, hi]), np.tile(parent_tail, 2)
+    order = np.argsort(np.concatenate(kept_lo))
+    coeffs = np.concatenate(kept_coeffs)[order]
+    edges = np.append(np.concatenate(kept_lo)[order], math.pi)
+    # a panel's total is its series at s = -1; above[p] sums the panels past p
+    totals = coeffs @ (-1.0) ** np.arange(_CHEB_POINTS + 1)
+    above = np.append(np.cumsum(totals[:0:-1])[::-1], 0.0)
 
-    def eval_array(xs: np.ndarray) -> np.ndarray:
-        return cumulative_integral(f, xs, tol, bps)
+    def evaluate(xs: np.ndarray) -> np.ndarray:
+        theta = np.arccos(xs)
+        p = np.clip(np.searchsorted(edges, theta) - 1, 0, totals.size - 1)
+        lo, hi = edges[p], edges[p + 1]
+        s = ((theta - lo) - (hi - theta)) / (hi - lo)
+        value = chebval(s, np.moveaxis(coeffs[p], -1, 0), tensor=False)
+        # at a panel's upper edge the series is 0: the value is exactly above[p]
+        return np.where(theta == hi, 0.0, value) + above[p]
 
-    return OperatorImage(
-        source=f,
-        op="montee",
-        breakpoints=f.breakpoints,
-        evaluator=eval_array,
-    )
+    return OperatorImage(source=f, op="montee", breakpoints=f.breakpoints, evaluator=evaluate)
 
 
 def descente_numeric(f: ZonalKernel) -> OperatorImage:

@@ -255,6 +255,41 @@ class TestConv:
     def test_noninteger_lambda_values_rejected(self):
         assert run_main(["conv", "--cap-s", "1.0", "--lambda", "0.5", "--grid", "3"]) == 2
 
+    def test_numeric_ladder_table_does_not_depend_on_the_theta_block(self, tmp_path, monkeypatch):
+        # the hop of N_3 at lambda = 3 integrates montee images of montee
+        # images; each is built once, so no value depends on the other x of
+        # its theta block
+        n3 = json.dumps({"family": "cap_conv", "d": 3, "s": 0.5})
+        tables = []
+        for block in (64, 32):
+            monkeypatch.setattr("sphkern.convolution._THETA_BLOCK", block)
+            out = tmp_path / f"block{block}.csv"
+            assert run_main(["conv", "--kernel", n3, "--lambda", "3", "--grid", "101", "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
+
+class TestIntegerOptions:
+    # --grid takes 0 (an empty table) and up, --quad-order 1 and up; any
+    # other value is a usage error before anything runs
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--kernel", F2_DESC, "--grid", "-2"], "must be an integer >= 0"),
+            (["conv", "--cap-s", "0.5", "--lambda", "1", "--grid", "-3"], "must be an integer >= 0"),
+            (["conv", "--cap-s", "0.5", "--lambda", "1", "--quad-order", "0"], "must be an integer >= 1"),
+            (["coeffs", "--kernel", F2_DESC, "--lambda", "1", "--quad-order", "0"], "must be an integer >= 1"),
+            (["eval", "--kernel", F2_DESC, "--grid", "2.5"], "invalid integer value"),
+        ],
+        ids=("eval-grid", "conv-grid", "conv-quad-order", "coeffs-quad-order", "non-integer"),
+    )
+    def test_out_of_range_exits_2_at_parse_time(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
 
 class TestCaps:
     def test_json_payload(self, tmp_path):

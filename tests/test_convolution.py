@@ -418,6 +418,18 @@ class TestDimensionHop:
         hop = dimension_hop_conv(f2, f2, P1, xs)
         assert np.max(np.abs(hop - series_eval(conv_lambda_coeffs(fhat, fhat), xs))) <= 1e-12
 
+    @pytest.mark.parametrize("lam, bound", [(0.0, 1e-13), (1.0, 1e-13), (2.0, 1e-10)])
+    def test_numeric_ladder_matches_the_coefficient_route(self, lam, bound):
+        # a degree-30 series has no exact antiderivative: the hop runs on
+        # numeric montee ladders, while the coefficient products are exact
+        coeffs = 1.0 / np.arange(1.0, 32.0) ** 3
+        f = kernel_from_descriptor({"family": "series", "coeffs": coeffs.tolist(), "lambda": 1.0})
+        fhat = transform(f, GegenbauerParams(lam + 1.0), 30)
+        xs = np.linspace(-0.99, 0.99, 199)
+        want = series_eval(conv_lambda_coeffs(fhat, fhat), xs)
+        got = dimension_hop_conv(f, f, GegenbauerParams(lam), xs, order=128)
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
     def test_star1_matches_series_reconstruction(self):
         # Theorem 4.1 identity: hop values match the coefficient-product series
         for c in (0.0, 0.5):

@@ -125,7 +125,7 @@ class TestMonteeRecurrence:
     def test_m1_at_support_edge(self):
         assert eval_montee_recurrence(1, 1.0, math.cos(1.0)) == pytest.approx(0.0, abs=1e-15)
 
-    def test_m5_against_adaptive_quadrature(self):
+    def test_m5_against_numeric_montee(self):
         f5 = TruncatedPower(5, 1.0).as_kernel()
         image = montee_numeric(f5, tol=1e-12)
         x = math.cos(0.3)

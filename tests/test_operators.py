@@ -1,6 +1,7 @@
 """Montee/descente operator tests: numeric images, exact identities, the
 coefficient-level derivative map, and round trips."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphkern.gegenbauer import GegenbauerParams, SeriesCoeffs, eval_gegenbauer_derivative, transform
-from sphkern.kernels import MonteeIterate, TruncatedPower, eval_montee_closed_form
+from sphkern.kernels import MonteeIterate, TruncatedPower, eval_montee_closed_form, kernel_from_descriptor
 from sphkern.operators import (
     check_D_on_gegenbauer,
     check_I_on_gegenbauer,
@@ -37,6 +38,60 @@ class TestMu:
         assert mu(GegenbauerParams(0.5)) == 0.5
 
 
+B = 0.3  # the kink, cusp and jump of the test integrands
+
+
+def kinked(x):
+    return np.abs(np.asarray(x) - B)
+
+
+def kinked_integral(x):
+    """int_{-1}^{x} |u - B| du."""
+    left = 0.5 * ((B + 1.0) ** 2 - (B - np.minimum(x, B)) ** 2)
+    return left + 0.5 * np.maximum(x - B, 0.0) ** 2
+
+
+def cusp(x):
+    return np.sqrt(np.abs(np.asarray(x) - B))
+
+
+def cusp_integral(x):
+    """int_{-1}^{x} |u - B|^(1/2) du."""
+    left = (B + 1.0) ** 1.5 - (B - np.minimum(x, B)) ** 1.5
+    return (2.0 / 3.0) * (left + np.maximum(x - B, 0.0) ** 1.5)
+
+
+def jump(x):
+    return (np.asarray(x) >= B).astype(float)
+
+
+def jump_integral(x):
+    return np.maximum(x - B, 0.0)
+
+
+class CallLog:
+    """Wraps an integrand and records the number of points of every call."""
+
+    def __init__(self, f):
+        self.f, self.sizes = f, []
+
+    def __call__(self, x):
+        self.sizes.append(np.size(x))
+        return self.f(x)
+
+
+def _series_kernel(n_max: int, power: float):
+    coeffs = 1.0 / np.arange(1.0, n_max + 2.0) ** power
+    return kernel_from_descriptor({"family": "series", "coeffs": coeffs.tolist(), "lambda": 1.0})
+
+
+def _panels_sampled(f: ZonalKernel, tol: float) -> int:
+    """Panels montee_numeric(f, tol) samples while it builds, kept or bisected."""
+    log = CallLog(f.fn)
+    montee_numeric(dataclasses.replace(f, fn=log), tol=tol)
+    return sum(log.sizes) // 33
+
+
 class TestMonteeNumeric:
     def test_zero_kernel(self):
         image = montee_numeric(constant_kernel(0.0))
@@ -51,9 +106,16 @@ class TestMonteeNumeric:
         image = montee_numeric(gegenbauer_kernel(P2, 1))
         assert image(1.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_image_at_minus_one_is_zero(self):
-        image = montee_numeric(TruncatedPower(2, 1.0).as_kernel())
+    @pytest.mark.parametrize(
+        "f",
+        [TruncatedPower(2, 1.0).as_kernel(), constant_kernel(1.0), gegenbauer_kernel(P2, 7)],
+        ids=("f_2", "const", "C2_7"),
+    )
+    def test_image_at_minus_one_is_zero(self, f):
+        # constant_kernel and C^2_7 have no support edge: -1 is a panel end
+        image = montee_numeric(f)
         assert image(-1.0) == 0.0
+        assert image(np.array([0.5, -1.0, 0.0]))[1] == 0.0
 
     def test_image_continuity_modulus(self):
         f = TruncatedPower(2, 2.0).as_kernel()
@@ -81,11 +143,125 @@ class TestMonteeNumeric:
     def test_nonconvergent_refinement_raises_with_bound(self):
         from sphkern.errors import AccuracyError
 
-        wild = ZonalKernel(fn=lambda x: np.sin(1e15 * x))
-        image = montee_numeric(wild, tol=1e-16)
+        wild = CallLog(lambda x: np.sin(1e15 * x))
         with pytest.raises(AccuracyError) as err:
-            image(0.5)
+            montee_numeric(ZonalKernel(fn=wild), tol=1e-16)
         assert err.value.achieved is not None and err.value.achieved > 1e-16
+        assert len(wild.sizes) <= 13  # the panel budget stops the bisection rounds
+
+    def test_exact_at_breakpoint_and_shape_kept(self):
+        image = montee_numeric(ZonalKernel(fn=kinked, breakpoints=(B,)), tol=1e-12)
+        xs = np.array([[B, -1.0, 1.0], [0.0, B, 0.9]])
+        out = image(xs)
+        assert out.shape == xs.shape
+        assert out[0, 0] == out[1, 1] == pytest.approx(0.5 * (B + 1.0) ** 2, rel=1e-15)
+        assert np.max(np.abs(out - kinked_integral(xs))) < 1e-13
+
+    def test_empty_input(self):
+        image = montee_numeric(ZonalKernel(fn=kinked, breakpoints=(B,)), tol=1e-12)
+        assert image(np.array([])).shape == (0,)
+        assert image(np.empty((0, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "fn, exact, max_rounds",
+        [(cusp, cusp_integral, 30), (kinked, kinked_integral, 25), (jump, jump_integral, 45)],
+        ids=("cusp", "kink", "jump"),
+    )
+    def test_unregistered_singularity_converges(self, fn, exact, max_rounds):
+        # B is not registered: the panel holding it bisects round by round
+        f = CallLog(fn)
+        image = montee_numeric(ZonalKernel(fn=f), tol=1e-12)
+        xs = np.linspace(-1.0, 1.0, 2001)
+        assert np.max(np.abs(image(xs) - exact(xs))) < 1e-12
+        assert 10 < len(f.sizes) <= max_rounds
+
+    def test_build_calls_f_once_per_round_and_the_evaluator_never(self):
+        f = CallLog(cusp)
+        image = montee_numeric(ZonalKernel(fn=f), tol=1e-12)
+        build = list(f.sizes)
+        # round 1 samples the single panel [0, pi]; each later round samples
+        # the two halves of every panel the round before left open
+        assert build[0] == 33 and all(n % 66 == 0 for n in build[1:])
+        image(np.linspace(-1.0, 1.0, 5001))
+        image(0.25)
+        image.as_kernel()(np.array([[0.1, B], [B, 0.9]]))
+        assert f.sizes == build
+
+    def test_dense_grid(self):
+        f3 = TruncatedPower(3, 1.0)
+        xs = np.linspace(-1.0, 1.0, 20001)
+        out = montee_numeric(f3.as_kernel(), tol=1e-12)(xs)
+        assert np.max(np.abs(out - MonteeIterate(f3, 1)(xs))) < 1e-11
+
+
+class TestMonteeBuildBudget:
+    # the panels an image needs stay far inside the budget, also where the
+    # integrand carries roundoff that bisection cannot remove
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_iterates_of_f8(self, k):
+        # the exact algebra of I^2 f_8 and I^3 f_8 carries about 1e-12 of roundoff
+        f8 = TruncatedPower(8, math.pi / 2)
+        assert _panels_sampled(MonteeIterate(f8, k).as_kernel(), 1e-12) <= 5
+
+    def test_noisy_descente_image(self):
+        # the integrand of verify's roundtrip_I_of_D, noisy at about 1e-10
+        kernel = ZonalKernel(
+            fn=lambda x: np.asarray(eval_montee_closed_form("If3", 2.5, x)), breakpoints=(math.cos(2.5), 1.0)
+        )
+        assert _panels_sampled(descente_numeric(kernel).as_kernel(), 1e-9) <= 4
+
+    def test_series_of_truncation_4000(self):
+        assert _panels_sampled(_series_kernel(4000, 2.0), 1e-10) <= 1100
+
+    def test_roundoff_plateau_is_accepted(self):
+        # a tail of about eps * 1e6 cannot reach tol / pi = 3e-13: the build
+        # stops at the plateau, and the image is exact to a few ulp of 2e6
+        f = constant_kernel(1e6)
+        assert _panels_sampled(f, 1e-12) <= 5
+        xs = np.linspace(-1.0, 1.0, 201)
+        assert np.max(np.abs(montee_numeric(f, tol=1e-12)(xs) - 1e6 * (xs + 1.0))) < 1e-9
+
+    def test_small_unresolved_oscillation_is_no_plateau(self):
+        # f = 1 + 1e-9 C^1_2000: its panel tails hover near 1e-9 until the
+        # degree-2001 oscillation is resolved, and must not be taken for roundoff
+        n, amp = 2000, 1e-9
+
+        def fn(x):
+            theta = np.arccos(x)
+            s = np.sin(theta)
+            inner = s > 1e-6
+            ratio = np.where(inner, np.sin((n + 1) * theta) / np.where(inner, s, 1.0), (n + 1) * x**n)
+            return 1.0 + amp * ratio
+
+        image = montee_numeric(ZonalKernel(fn=fn), tol=1e-12)
+        xs = np.linspace(-0.999, 0.999, 4001)
+        theta = np.arccos(xs)
+        exact = (xs + 1.0) + amp * (np.cos((n + 1) * theta) - np.cos((n + 1) * math.pi)) / (n + 1)
+        assert np.max(np.abs(image(xs) - exact)) < 1e-12
+
+
+class TestMonteeImageInvariance:
+    # a value depends on its own x only: the image is built once, at the call
+    GRID = np.linspace(-1.0, 1.0, 2001)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            kernel_from_descriptor({"family": "cap_conv", "d": 3, "s": 0.5}),
+            TruncatedPower(3, 2.5).as_kernel(),
+            gegenbauer_kernel(P2, 7),
+            _series_kernel(30, 3.0),
+        ],
+        ids=("N_3", "f_3", "C2_7", "series"),
+    )
+    def test_grid_subset_order_and_scalar_calls_agree_bitwise(self, f):
+        image = montee_numeric(f, tol=1e-12)
+        full = image(self.GRID)
+        assert np.array_equal(image(self.GRID[::3]), full[::3])
+        perm = np.random.default_rng(7).permutation(self.GRID.size)
+        assert np.array_equal(image(self.GRID[perm]), full[perm])
+        picks = np.arange(0, self.GRID.size, 37)
+        assert np.array_equal([image(float(x)) for x in self.GRID[picks]], full[picks])
 
 
 class TestDescenteNumeric:

@@ -1,4 +1,4 @@
-"""Shared Gauss-Legendre panel quadrature: rules, edge policies, cumulative integral."""
+"""Shared Gauss-Legendre panel quadrature: rules and edge policies."""
 
 import math
 
@@ -6,18 +6,9 @@ import numpy as np
 import pytest
 
 from sphkern import quadrature
-from sphkern.errors import AccuracyError, ResourceLimitError
+from sphkern.errors import ResourceLimitError
 from sphkern.gegenbauer import GegenbauerParams, quadrature_rule, total_mass
-from sphkern.kernels import MonteeIterate, TruncatedPower
-from sphkern.quadrature import (
-    _BATCH_PANELS,
-    MAX_QUAD_ORDER,
-    circle_rule,
-    cumulative_integral,
-    gauss_legendre,
-    panel_rule,
-    theta_rule,
-)
+from sphkern.quadrature import MAX_QUAD_ORDER, circle_rule, gauss_legendre, panel_rule, theta_rule
 
 
 class TestOrderBound:
@@ -194,90 +185,3 @@ class TestThetaRule:
         x_out, w_out = theta_rule((-1.5, 0.3, 2.0), 1.0, 16)
         assert np.array_equal(x_in, x_out) and np.array_equal(w_in, w_out)
 
-
-B = 0.3  # breakpoint of the kinked integrand |x - B|
-
-
-def kinked(x):
-    return np.abs(np.asarray(x) - B)
-
-
-def kinked_integral(x):
-    """int_{-1}^{x} |u - B| du."""
-    left = 0.5 * ((B + 1.0) ** 2 - (B - np.minimum(x, B)) ** 2)
-    return left + 0.5 * np.maximum(x - B, 0.0) ** 2
-
-
-def cusp(x):
-    return np.sqrt(np.abs(np.asarray(x) - B))
-
-
-def cusp_integral(x):
-    """int_{-1}^{x} |u - B|^(1/2) du."""
-    left = (B + 1.0) ** 1.5 - (B - np.minimum(x, B)) ** 1.5
-    return (2.0 / 3.0) * (left + np.maximum(x - B, 0.0) ** 1.5)
-
-
-class CallLog:
-    """Wraps an integrand and records the number of points of every call."""
-
-    def __init__(self, f):
-        self.f, self.sizes = f, []
-
-    def __call__(self, x):
-        self.sizes.append(np.size(x))
-        return self.f(x)
-
-
-class TestCumulativeIntegral:
-    def test_zero_at_minus_one(self):
-        assert cumulative_integral(kinked, np.array([-1.0]), 1e-12, (B,))[0] == 0.0
-        assert cumulative_integral(kinked, np.array([0.5, -1.0, B]), 1e-12, (B,))[1] == 0.0
-
-    def test_exact_at_breakpoint_and_shape_kept(self):
-        xs = np.array([[B, -1.0, 1.0], [0.0, B, 0.9]])
-        out = cumulative_integral(kinked, xs, 1e-12, (B,))
-        assert out.shape == xs.shape
-        assert out[0, 0] == out[1, 1] == pytest.approx(0.5 * (B + 1.0) ** 2, rel=1e-15)
-        assert np.max(np.abs(out - kinked_integral(xs))) < 1e-13
-
-    def test_empty_input(self):
-        assert cumulative_integral(kinked, np.array([]), 1e-12, (B,)).shape == (0,)
-        assert cumulative_integral(kinked, np.empty((0, 2)), 1e-12, (B,)).shape == (0, 2)
-
-    def test_one_call_evaluates_every_cell_of_a_smooth_integrand(self):
-        xs = np.linspace(-1.0, 1.0, 400)  # 399 cells, all accepted at once
-        f = CallLog(np.cos)
-        out = cumulative_integral(f, xs, 1e-12, ())
-        assert f.sizes == [399 * 48]
-        assert np.max(np.abs(out - (np.sin(xs) + math.sin(1.0)))) < 1e-14
-
-    def test_calls_are_capped_at_one_batch(self):
-        xs = np.linspace(-1.0, 1.0, 1500)  # 1499 cells, popped from the right end
-        f = CallLog(cusp)  # the cusp is not registered, so its cell bisects deeply
-        out = cumulative_integral(f, xs, 1e-12, ())
-        # the second pop holds the cusp's cell; its halves join the 475 cells left
-        assert f.sizes[:3] == [_BATCH_PANELS * 48, _BATCH_PANELS * 48, (1499 - 2 * _BATCH_PANELS + 2) * 48]
-        assert max(f.sizes) <= _BATCH_PANELS * 48 and all(n % 48 == 0 for n in f.sizes)
-        assert np.max(np.abs(out - cusp_integral(xs))) < 1e-12
-
-    def test_unregistered_cusp_converges(self):
-        xs = np.array([-0.5, 0.0, B - 1e-3, 0.7, 1.0])
-        f = CallLog(cusp)
-        out = cumulative_integral(f, xs, 1e-12, ())
-        assert len(f.sizes) > 20  # the cusp's cell needed deep local bisection
-        assert np.max(np.abs(out - cusp_integral(xs))) < 1e-12
-
-    def test_nonconvergent_integrand_raises_at_the_depth_cap(self):
-        f = CallLog(lambda x: np.sin(1e15 * x))
-        with pytest.raises(AccuracyError) as err:
-            cumulative_integral(f, np.array([0.5]), 1e-16, ())
-        assert err.value.achieved > 1e-16
-        assert len(f.sizes) <= 41
-
-    def test_dense_grid_has_no_panel_budget(self):
-        f3 = TruncatedPower(3, 1.0)
-        kernel = f3.as_kernel()
-        xs = np.linspace(-1.0, 1.0, 20001)
-        out = cumulative_integral(kernel, xs, 1e-12, kernel.interior_breakpoints())
-        assert np.max(np.abs(out - MonteeIterate(f3, 1)(xs))) < 1e-11
