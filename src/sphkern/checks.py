@@ -226,7 +226,7 @@ def check_recurrence(tol: float = 1e-8) -> CheckResult:
 
 
 def check_roundtrip_DI(tol: float = 1e-6) -> CheckResult:
-    """(D I f) = f for f = f_2(t=1), differencing fully numerically."""
+    """(D I f) = f for f = f_2(t=1), differentiating fully numerically."""
     f2 = TruncatedPower(2, 1.0).as_kernel()
     image = montee_numeric(f2, tol=1e-12)
     derivative = descente_numeric(image.as_kernel())
@@ -290,7 +290,7 @@ def check_n3_oracle(tol: float = 1e-6) -> CheckResult:
     """N_3 vs the numeric oracle D[(I g) *_0 (I g)] / a at 101 interior points.
 
     The oracle route is independent of the hop machinery: exact (x - c)_+
-    for I g, panel quadrature for *_0, Ridders differencing for D.
+    for I g, panel quadrature for *_0, Chebyshev differentiation on panels for D.
     """
     worst = 0.0
     for s in _CAP_ANGLES:

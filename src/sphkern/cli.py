@@ -277,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--lambda", dest="lam", type=float, help="Gegenbauer index lambda")
     group.add_argument("--sphere-dim", dest="lam", type=_sphere_dim, metavar="D", help="sphere dimension d; lambda=(d-1)/2")
     series = argparse.ArgumentParser(add_help=False)
-    series.add_argument("--trunc", type=int, default=40, help="series truncation N")
+    series.add_argument("--trunc", type=_int_at_least(0), default=40, help="series truncation N")
     series.add_argument("--quad-order", type=_int_at_least(1), default=128, help="quadrature order / nodes per panel")
 
     p_eval = sub.add_parser("eval", parents=[lam, rows], help="tabulate a kernel over a grid")
@@ -313,9 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_interp.add_argument("--tol", type=float, default=1e-9, help="residual tolerance of the solve")
 
     p_gen = sub.add_parser("gen-points", parents=[lam, rows], help="deterministic point sets on S^d")
-    p_gen.add_argument("--n", type=int, default=100)
+    p_gen.add_argument("--n", type=_int_at_least(1), default=100)
     p_gen.add_argument("--scheme", choices=("random_seeded", "fibonacci_s2"), default="fibonacci_s2")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_int_at_least(0), default=0)
 
     return parser
 

@@ -270,8 +270,9 @@ class TestConv:
 
 
 class TestIntegerOptions:
-    # --grid takes 0 (an empty table) and up, --quad-order 1 and up; any
-    # other value is a usage error before anything runs
+    # --grid and --trunc take 0 and up, --quad-order and gen-points --n 1
+    # and up, --seed 0 and up; any other value is a usage error before
+    # anything runs, naming the option
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -279,9 +280,16 @@ class TestIntegerOptions:
             (["conv", "--cap-s", "0.5", "--lambda", "1", "--grid", "-3"], "must be an integer >= 0"),
             (["conv", "--cap-s", "0.5", "--lambda", "1", "--quad-order", "0"], "must be an integer >= 1"),
             (["coeffs", "--kernel", F2_DESC, "--lambda", "1", "--quad-order", "0"], "must be an integer >= 1"),
+            (["coeffs", "--kernel", F2_DESC, "--lambda", "1", "--trunc", "-1"], "argument --trunc: must be an integer >= 0"),
+            (["conv", "--cap-s", "0.5", "--lambda", "1", "--table", "coeffs", "--trunc", "-1"], "must be an integer >= 0"),
+            (["gen-points", "--sphere-dim", "2", "--n", "0"], "argument --n: must be an integer >= 1"),
+            (["gen-points", "--sphere-dim", "2", "--scheme", "random_seeded", "--seed", "-1"], "argument --seed: must be an integer >= 0"),
             (["eval", "--kernel", F2_DESC, "--grid", "2.5"], "invalid integer value"),
         ],
-        ids=("eval-grid", "conv-grid", "conv-quad-order", "coeffs-quad-order", "non-integer"),
+        ids=(
+            "eval-grid", "conv-grid", "conv-quad-order", "coeffs-quad-order", "coeffs-trunc", "conv-trunc",
+            "gen-points-n", "gen-points-seed", "non-integer",
+        ),
     )
     def test_out_of_range_exits_2_at_parse_time(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -289,6 +297,17 @@ class TestIntegerOptions:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--kernel", F2_DESC, "--lambda", "1", "--trunc", "0"],
+            ["gen-points", "--sphere-dim", "2", "--n", "1", "--scheme", "random_seeded", "--seed", "0"],
+        ],
+        ids=("trunc-0", "n-1-seed-0"),
+    )
+    def test_lowest_values_are_accepted(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
 
 
 class TestCaps:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphkern.errors import AccuracyError, EvaluationError
 from sphkern.gegenbauer import GegenbauerParams, SeriesCoeffs, eval_gegenbauer_derivative, transform
 from sphkern.kernels import MonteeIterate, TruncatedPower, eval_montee_closed_form, kernel_from_descriptor
 from sphkern.operators import (
@@ -141,8 +142,6 @@ class TestMonteeNumeric:
             assert np.min(image(grid)) >= -1e-14
 
     def test_nonconvergent_refinement_raises_with_bound(self):
-        from sphkern.errors import AccuracyError
-
         wild = CallLog(lambda x: np.sin(1e15 * x))
         with pytest.raises(AccuracyError) as err:
             montee_numeric(ZonalKernel(fn=wild), tol=1e-16)
@@ -275,21 +274,12 @@ class TestDescenteNumeric:
         assert image(0.25) == pytest.approx(2.0, abs=1e-9)
 
     def test_montee_image_takes_the_numeric_route(self):
-        # a montee image records no derivative to hand back: D differences it
+        # a montee image records no derivative to hand back: D differentiates it
         f = TruncatedPower(2, 1.5).as_kernel()
         back = descente_numeric(montee_numeric(f).as_kernel())
-        assert back.flag_fn is not None
         knot = math.cos(1.5)
         grid = np.concatenate([np.linspace(-0.98, knot - 0.02, 40), np.linspace(knot + 0.02, 0.95, 40)])
         assert np.max(np.abs(back(grid) - f(grid))) < 1e-6
-
-    def test_one_sided_flag_at_breakpoint(self):
-        f = TruncatedPower(2, 1.0).as_kernel()
-        image = descente_numeric(f)
-        _, flagged = image.value_and_flag(math.cos(1.0))
-        assert flagged
-        _, flagged = image.value_and_flag(0.0)
-        assert not flagged
 
     def test_roundtrip_D_of_I(self):
         f = TruncatedPower(2, 1.0).as_kernel()
@@ -312,155 +302,119 @@ class TestDescenteNumeric:
         assert np.max(np.abs(image(grid) - (kernel(grid) - kernel(-1.0)))) < 1e-6
 
 
-# ---------------------------------------------------------------------------
-# the batched Ridders descente against the per-point algorithm it replaced
+#: C^1_3 with both ends listed: no interior breakpoint, so [-1, 1] splits at
+#: 0 into two theta builds, and x = +-1 are poles
+BOTH_ENDS = dataclasses.replace(gegenbauer_kernel(P1, 3), breakpoints=(-1.0, 1.0))
 
 
-def scalar_ridders(f, x, h0, steps=10, shrink=1.4):
-    a = np.empty((steps, steps))
-    hh = h0
-    a[0, 0] = (f(x + hh) - f(x - hh)) / (2.0 * hh)
-    ans, err = a[0, 0], math.inf
-    for i in range(1, steps):
-        hh /= shrink
-        a[0, i] = (f(x + hh) - f(x - hh)) / (2.0 * hh)
-        fac = shrink * shrink
-        for j in range(1, i + 1):
-            a[j, i] = (a[j - 1, i] * fac - a[j - 1, i - 1]) / (fac - 1.0)
-            fac *= shrink * shrink
-            errt = max(abs(a[j, i] - a[j - 1, i]), abs(a[j, i] - a[j - 1, i - 1]))
-            if errt <= err:
-                err, ans = errt, a[j, i]
-        if abs(a[i, i] - a[i - 1, i - 1]) >= 2.0 * err:
-            break
-    return ans
-
-
-def scalar_one_sided(f, x, h, direction):
-    def stencil(step):
-        s = direction * step
-        vals = np.array([f(x + k * s) for k in range(5)])
-        return direction * (-25 * vals[0] + 48 * vals[1] - 36 * vals[2] + 16 * vals[3] - 3 * vals[4]) / (12.0 * step)
-
-    d1 = stencil(h)
-    d2 = stencil(0.5 * h)
-    return (16.0 * d2 - d1) / 15.0
-
-
-def scalar_descente(f, x, h_default=1e-5):
-    """One point at a time: the guard rule of descente_numeric on the scalar helpers."""
-    bps = sorted(set(f.interior_breakpoints()))
-    guards = bps + [-1.0, 1.0]
-    nearest = min(guards, key=lambda g: abs(g - x))
-    dist = abs(nearest - x)
-    if (bps and min(abs(b - x) for b in bps) < 1e-12) or dist < 64.0 * np.finfo(float).eps:
-        direction = 1.0 if x < 0.5 else -1.0
-    elif dist < 2.0 * h_default and (nearest in bps or nearest not in f.breakpoints):
-        direction = 1.0 if x > nearest else -1.0
-    else:
-        return scalar_ridders(f, x, min(h_default, 0.5 * dist)), False
-    room = min(direction * (g - x) for g in guards if direction * (g - x) > 1e-12)
-    return scalar_one_sided(f, x, min(h_default, room / 16.0), direction), True
-
-
-def piecewise_cubic(x):
-    # products and sums only, so a point's value does not depend on the
-    # array it is evaluated in
-    right = np.maximum(x - 0.4, 0.0)
-    left = np.maximum(-0.3 - x, 0.0)
-    return x * x * x - 0.5 * x + 2.0 * right * right * right + left * left
-
-
-#: kinks at -0.3 and 0.4; x = 1 registered (the shrinking-step end), x = -1 not
-PIECEWISE = ZonalKernel(fn=piecewise_cubic, breakpoints=(-0.3, 0.4, 1.0))
-NEAR = np.array([0.0, 1e-13, 1e-11, 1e-8, 1e-6, 1.5e-5, 3e-5, 1e-4])
-SPECIAL = np.unique(np.concatenate([g + side * NEAR for g in (-1.0, -0.3, 0.4, 1.0) for side in (1.0, -1.0)]))
-GRID = np.concatenate([np.linspace(-1.0, 1.0, 201), SPECIAL[np.abs(SPECIAL) <= 1.0]])
-
-
-class CountingKernel:
-    """A kernel profile that records the size of every call."""
-
-    def __init__(self, fn):
-        self.fn, self.sizes = fn, []
-
-    def __call__(self, x):
-        self.sizes.append(x.size)
-        return self.fn(x)
-
-
-class TestBatchedDescente:
-    def test_bitwise_equal_to_the_per_point_algorithm(self):
-        image = descente_numeric(PIECEWISE)
-        want = [scalar_descente(PIECEWISE, float(x)) for x in GRID]
-        values, flags = image.flag_fn(GRID)
-        assert np.array_equal(values, [v for v, _ in want])
-        assert np.array_equal(flags, [flag for _, flag in want])
-        assert flags.any() and not flags.all()
-
-    def test_value_and_flag_is_the_one_point_case(self):
-        image = descente_numeric(PIECEWISE)
-        values, flags = image.flag_fn(GRID)
-        for x, value, flag in zip(GRID, values, flags):
-            assert image.value_and_flag(x) == (value, flag)
-            assert type(image.value_and_flag(x)[0]) is float
-
-    def test_kernel_calls_per_grid(self):
-        counting = CountingKernel(piecewise_cubic)
-        kernel = ZonalKernel(fn=counting, breakpoints=PIECEWISE.breakpoints)
-        # 1000 points, three of them at a guard: the stencil calls take 15
-        # points each, the central ones an even number (the +-h pairs)
-        grid = np.append(np.linspace(-1.0, 1.0, 999), 0.4)
-        _, flags = descente_numeric(kernel).flag_fn(grid)
-        assert flags.sum() == 3
-        stencil = [n for n in counting.sizes if n % 2]
-        assert stencil == [15, 15]
-        assert len(counting.sizes) - len(stencil) <= 10
-
+class TestDescenteImage:
     def test_shapes_empty_and_nan(self):
-        image = descente_numeric(PIECEWISE)
-        square = GRID[:12].reshape(3, 4)
-        assert np.array_equal(image(square), image(GRID[:12]).reshape(3, 4))
+        image = descente_numeric(ZonalKernel(fn=kinked, breakpoints=(B, 1.0)))
+        grid = np.linspace(-1.0, 1.0, 12)
+        assert np.array_equal(image(grid.reshape(3, 4)), image(grid).reshape(3, 4))
         assert image(np.array([])).shape == (0,)
+        assert image(np.empty((0, 2))).shape == (0, 2)
         with pytest.raises(ValueError, match="by more than 1e-12"):
             image(np.array([0.2, math.nan]))
         with pytest.raises(ValueError, match="by more than 1e-12"):
-            image.value_and_flag(math.nan)
+            image(math.nan)
 
     @pytest.mark.parametrize(
         "x,slope", [(0.29999, -2.0), (0.3, 0.0), (0.300001, 0.0), (0.30001, 0.0), (0.300019, 0.0), (0.30002, 2.0)]
     )
-    def test_stencil_stops_short_of_the_next_guard(self, x, slope):
-        # kinks 2e-5 apart, closer than the 4e-5 a full-size stencil spans
+    def test_close_kinks_give_the_exact_slopes(self, x, slope):
+        # kinks 2e-5 apart; at a kink the value is the slope from above
         kernel = ZonalKernel(fn=lambda u: np.abs(u - 0.3) + np.abs(u - 0.30002), breakpoints=(0.3, 0.30002))
-        value, flag = descente_numeric(kernel).value_and_flag(x)
-        assert flag and value == pytest.approx(slope, abs=1e-8)
+        assert descente_numeric(kernel)(x) == pytest.approx(slope, abs=1e-8)
 
+    @pytest.mark.parametrize("other_end_listed", [False, True])
     @pytest.mark.parametrize("side", [1.0, -1.0])
     @pytest.mark.parametrize("k", range(4, 14))
-    def test_smooth_end_steps_away(self, k, side):
-        # d/dx C^1_3 next to an end the kernel does not register: the central
-        # steps used to shrink with the distance, and roundoff took over
+    def test_smooth_end_keeps_its_digits(self, k, side, other_end_listed):
+        # d/dx C^1_3 next to an end the kernel does not list: x panels reach
+        # it, also when the other end is listed (theta panels stop at x = 0)
+        kernel = gegenbauer_kernel(P1, 3)
+        if other_end_listed:
+            kernel = dataclasses.replace(kernel, breakpoints=(-side,))
         x = side * (1.0 - 10.0**-k)
-        value, flag = descente_numeric(gegenbauer_kernel(P1, 3)).value_and_flag(x)
-        assert abs(value - eval_gegenbauer_derivative(P1, 3, x)) <= 1e-8
-        assert flag == (10.0**-k < 2e-5)
+        assert abs(descente_numeric(kernel)(x) - eval_gegenbauer_derivative(P1, 3, x)) <= 1e-8
 
     @pytest.mark.parametrize("k", range(5, 12))
-    def test_registered_end_keeps_shrinking_central_steps(self, k):
-        # f_2 has sqrt-type behaviour at x = 1 (it registers 1.0): a stencil
-        # stepping 4e-5 away sees that behaviour, a step of half the
-        # distance does not
+    def test_listed_end_beats_the_unlisted_one(self, k):
+        # I f_2 has (1 - x)^(3/2) behaviour at x = 1: theta panels resolve it
+        # when 1.0 is listed, x panels stop at their roundoff plateau when not
         f2 = TruncatedPower(2, math.pi / 2.0)
         image = MonteeIterate(f2, 1)
-        registered = ZonalKernel(fn=image, breakpoints=(math.cos(math.pi / 2.0), 1.0))
-        unregistered = ZonalKernel(fn=image, breakpoints=(math.cos(math.pi / 2.0),))
+        listed = ZonalKernel(fn=image, breakpoints=(math.cos(math.pi / 2.0), 1.0))
+        unlisted = ZonalKernel(fn=image, breakpoints=(math.cos(math.pi / 2.0),))
         x = 1.0 - 10.0**-k
-        value, flag = descente_numeric(registered).value_and_flag(x)
-        away, away_flag = descente_numeric(unregistered).value_and_flag(x)
-        assert not flag and away_flag
         exact = f2.as_kernel()(x)
+        value, away = descente_numeric(listed)(x), descente_numeric(unlisted)(x)
         assert abs(value - exact) <= 0.1 * abs(away - exact)
+
+    def test_pole_limits_at_listed_ends(self):
+        # D f(+-1) = -+ (d/dtheta)^2 f(cos theta); d/dx C^1_3 = 24 x^2 - 4 = 20 at both
+        image = descente_numeric(BOTH_ENDS)
+        xs = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        assert np.max(np.abs(image(xs) - eval_gegenbauer_derivative(P1, 3, xs))) < 1e-8
+
+    def test_zero_below_the_support_edge(self):
+        # the edge is not a breakpoint, so a panel straddles it
+        image = descente_numeric(ZonalKernel(fn=lambda x: (x - B) ** 2, support_edge=B))
+        assert not image(B - np.logspace(-16.0, 0.0, 33)).any()
+
+    def test_unlisted_sqrt_type_end_raises_with_bound(self):
+        # f_2 with 1.0 taken out of its breakpoints: no x panel resolves sqrt(1 - x)
+        f2 = TruncatedPower(2, 1.0).as_kernel()
+        with pytest.raises(AccuracyError) as err:
+            descente_numeric(dataclasses.replace(f2, breakpoints=(math.cos(1.0),)))
+        assert err.value.achieved is not None and err.value.achieved > 1e-13
+
+    def test_build_calls_f_once_per_round_and_the_evaluator_never(self):
+        f = CallLog(kinked)
+        image = descente_numeric(ZonalKernel(fn=f))
+        build = list(f.sizes)
+        # B is not listed: the panel holding it bisects round by round
+        assert build[0] == 33 and all(n % 66 == 0 for n in build[1:]) and 10 < len(build) <= 45
+        xs = np.linspace(-1.0, 1.0, 5001)
+        away = np.abs(xs - B) > 1e-9
+        assert np.max(np.abs(image(xs) - np.sign(xs - B))[away]) < 1e-10
+        image(0.25)
+        image.as_kernel()(np.array([[0.1, B], [B, 0.9]]))
+        assert f.sizes == build
+
+
+class TestDescenteImageInvariance:
+    # a value depends on its own x only: the image is built once, at the call
+    GRID = np.linspace(-1.0, 1.0, 2001)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            kernel_from_descriptor({"family": "cap_conv", "d": 3, "s": 0.5}),
+            TruncatedPower(3, 2.5).as_kernel(),
+            gegenbauer_kernel(P2, 7),
+            BOTH_ENDS,
+        ],
+        ids=("N_3", "f_3", "C2_7", "both_ends"),
+    )
+    def test_grid_subset_order_and_scalar_calls_agree_bitwise(self, f):
+        image = descente_numeric(f)
+        full = image(self.GRID)
+        assert np.array_equal(image(self.GRID[::3]), full[::3])
+        perm = np.random.default_rng(7).permutation(self.GRID.size)
+        assert np.array_equal(image(self.GRID[perm]), full[perm])
+        picks = np.arange(0, self.GRID.size, 37)
+        assert np.array_equal([image(float(x)) for x in self.GRID[picks]], full[picks])
+
+
+@pytest.mark.parametrize("operator", [montee_numeric, descente_numeric], ids=("montee", "descente"))
+def test_non_finite_samples_raise_evaluation_error(operator):
+    # the check comes before any arithmetic on the samples, so no warning
+    # (an error in this suite) is emitted first
+    kernel = ZonalKernel(fn=lambda x: np.where(x > 0.3, np.inf, 1.0), name="blowup")
+    with pytest.raises(EvaluationError, match="blowup"):
+        operator(kernel)
 
 
 class TestGegenbauerIdentities:
